@@ -143,6 +143,41 @@ class Discretization:
         self.n_vertices = mesh.n_vertices
         self.n_udofs = 2 * mesh.n_vertices
         self.eps0 = np.zeros((T, 3))
+        self._patterns: dict = {}
+        self._eliminations: dict = {}
+
+    # -- fixed sparsity ----------------------------------------------------
+
+    def pattern(self, block: str) -> "BlockPattern":
+        """CSR pattern of Hessian block ``"uu"``, ``"ua"`` or ``"aa"``, built on first use."""
+        if block not in self._patterns:
+            nu, na = self.n_udofs, self.n_vertices
+            if block == "uu":
+                pat = BlockPattern(self.udofs, self.udofs, (nu, nu), nonzero=self.BtDB != 0)
+            elif block == "ua":
+                pat = BlockPattern(self.udofs, self.adofs, (nu, na))
+            elif block == "aa":
+                pat = BlockPattern(self.adofs, self.adofs, (na, na))
+            else:
+                raise ValueError(f"unknown Hessian block {block!r}")
+            self._patterns[block] = pat
+        return self._patterns[block]
+
+    def dirichlet_elimination(self, block: str) -> "DirichletElimination":
+        """Elimination of the current ``bc.dofs`` from a block's pattern.
+
+        Kept until the dof set changes: boundary values move every load step,
+        the constrained dofs do not.  ``"uu"`` drops rows and columns and puts
+        1 on the constrained diagonal; ``"ua"`` drops rows only.
+        """
+        dofs = self.bc.dofs
+        cached = self._eliminations.get(block)
+        if cached is None or not np.array_equal(cached.dofs, dofs):
+            pat = self.pattern(block)
+            cached = DirichletElimination(pat.indptr, pat.indices, pat.shape, dofs,
+                                          columns=block == "uu")
+            self._eliminations[block] = cached
+        return cached
 
     # -- per-element ingredients ------------------------------------------
 
@@ -221,13 +256,44 @@ def assemble_residual_alpha(state: State, problem: Discretization) -> np.ndarray
 # -- Hessian blocks ----------------------------------------------------------
 
 
-def _coo(problem, rows_dofs, cols_dofs, data, shape):
-    r = np.repeat(rows_dofs, cols_dofs.shape[1], axis=1).ravel()
-    c = np.tile(cols_dofs, (1, rows_dofs.shape[1])).ravel()
-    A = sp.coo_matrix((data.ravel(), (r, c)), shape=shape).tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
-    return A
+class BlockPattern:
+    """Fixed CSR sparsity of one Hessian block and the slot of each element entry.
+
+    Entry (i, j) of element e adds into ``data[slots[e, i, j]]`` (flattened).
+    Element entries flagged False in ``nonzero`` point one past the end and
+    are dropped, so a position is in the pattern only if some element adds a
+    nonzero there: no structural zeros.  Assembly is then a single bincount.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple,
+                 nonzero: Optional[np.ndarray] = None):
+        k, m = rows.shape[1], cols.shape[1]
+        key = (np.repeat(rows, m, axis=1).astype(np.int64) * shape[1]
+               + np.tile(cols, (1, k))).ravel()
+        if nonzero is not None:
+            key[~nonzero.ravel()] = shape[0] * shape[1]   # sorts after every real slot
+        uniq, inv = np.unique(key, return_inverse=True)
+        if nonzero is not None and uniq.size and uniq[-1] == shape[0] * shape[1]:
+            uniq = uniq[:-1]
+        self.shape = shape
+        self.nnz = uniq.size
+        self.slots = inv.astype(np.int32)
+        self.indices = (uniq % shape[1]).astype(np.int32)
+        self.indptr = np.searchsorted(uniq // shape[1],
+                                      np.arange(shape[0] + 1)).astype(np.int32)
+
+    def matrix(self, element_data: np.ndarray) -> sp.csr_matrix:
+        """Sum per-element matrices (shape ``(T, k, m)``) into the pattern."""
+        data = np.bincount(self.slots, weights=element_data.ravel(),
+                           minlength=self.nnz + 1)[: self.nnz]
+        return _csr(data, self.indices, self.indptr, self.shape)
+
+
+def _csr(data, indices, indptr, shape) -> sp.csr_matrix:
+    # index arrays are copied: callers may restructure the result in place
+    K = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=shape)
+    K.has_canonical_format = True
+    return K
 
 
 def assemble_Kuu(state: State, problem: Discretization, apply_bc: bool = True) -> sp.csr_matrix:
@@ -235,16 +301,14 @@ def assemble_Kuu(state: State, problem: Discretization, apply_bc: bool = True) -
     m = problem.material
     ab = problem._alpha_bar(state.alpha)
     a, _, _ = problem.damage.a_eval(ab, m.k_ell)
-    data = (a * problem.area)[:, None, None] * problem.BtDB
-    K = _coo(problem, problem.udofs, problem.udofs, data,
-             (problem.n_udofs, problem.n_udofs))
+    K = problem.pattern("uu").matrix((a * problem.area)[:, None, None] * problem.BtDB)
     if apply_bc and problem.bc is not None:
-        K = eliminate_dirichlet(K, problem.bc.dofs)
+        K = eliminate_dirichlet(K, problem.bc.dofs, problem.dirichlet_elimination("uu"))
     return K
 
 
 def assemble_Kua(state: State, problem: Discretization, apply_bc: bool = True) -> sp.csr_matrix:
-    """Mixed block d(residual_u)/d(alpha); Dirichlet rows zeroed."""
+    """Mixed block d(residual_u)/d(alpha); Dirichlet rows dropped."""
     m = problem.material
     ab = problem._alpha_bar(state.alpha)
     _, ap, _ = problem.damage.a_eval(ab, m.k_ell)
@@ -252,14 +316,9 @@ def assemble_Kua(state: State, problem: Discretization, apply_bc: bool = True) -
     sig = np.einsum("ij,ej->ei", problem.D, eps)
     v = (ap * problem.area / 3.0)[:, None] * np.einsum("eik,ei->ek", problem.B, sig)
     data = np.repeat(v[:, :, None], 3, axis=2)  # identical columns per node
-    K = _coo(problem, problem.udofs, problem.adofs, data,
-             (problem.n_udofs, problem.n_vertices))
+    K = problem.pattern("ua").matrix(data)
     if apply_bc and problem.bc is not None:
-        mask = np.ones(problem.n_udofs)
-        mask[problem.bc.dofs] = 0.0
-        K = sp.diags(mask) @ K
-        K = K.tocsr()
-        K.eliminate_zeros()
+        K = problem.dirichlet_elimination("ua").matrix(K.data)
     return K
 
 
@@ -270,41 +329,78 @@ def assemble_Kaa(state: State, problem: Discretization) -> sp.csr_matrix:
     _, _, app = problem.damage.a_eval(ab, m.k_ell)
     eps = problem._eps_eff(state.u)
     q = np.einsum("ei,ij,ej->e", eps, problem.D, eps)
-    react = (0.5 * app * q * problem.area / 9.0)[:, None, None] * np.ones((1, 3, 3))
+    react = (0.5 * app * q * problem.area / 9.0)[:, None, None]
     diff = (2.0 * (m.Gc / C_W) * m.ell * problem.area)[:, None, None] * problem.GtG
-    return _coo(problem, problem.adofs, problem.adofs, react + diff,
-                (problem.n_vertices, problem.n_vertices))
+    return problem.pattern("aa").matrix(react + diff)
 
 
 # -- Dirichlet elimination ----------------------------------------------------
 
 
-def eliminate_dirichlet(K: sp.csr_matrix, dofs: np.ndarray) -> sp.csr_matrix:
-    """Zero rows/columns of ``dofs`` and put 1 on their diagonal."""
-    n = K.shape[0]
-    mask = np.ones(n)
-    mask[dofs] = 0.0
-    Dm = sp.diags(mask)
-    K2 = (Dm @ K @ Dm).tocsr()
-    ones = np.zeros(n)
-    ones[dofs] = 1.0
-    K2 = (K2 + sp.diags(ones)).tocsr()
-    K2.eliminate_zeros()
-    K2.sort_indices()
-    return K2
+class DirichletElimination:
+    """Precomputed gather from a fixed CSR pattern to its Dirichlet-eliminated form.
+
+    Rows of ``dofs`` are dropped; with ``columns`` their columns are dropped
+    too and each constrained row keeps only a unit diagonal.  Applying it to a
+    data array on the source pattern is one gather and one scatter of ones.
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, shape: tuple,
+                 dofs: np.ndarray, columns: bool = True):
+        self.dofs = np.array(dofs, dtype=np.intp)
+        self.shape = shape
+        fixed = np.zeros(shape[0], dtype=bool)
+        fixed[self.dofs] = True
+        rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
+        keep = ~fixed[rows]
+        if columns:
+            keep &= ~fixed[indices]
+        src = np.flatnonzero(keep)
+        r, c = rows[src], indices[src]
+        if columns:
+            unit = np.unique(self.dofs)
+            r, c = np.concatenate([r, unit]), np.concatenate([c, unit])
+            src = np.concatenate([src, np.full(unit.size, -1)])
+            order = np.lexsort((c, r))
+            r, c, src = r[order], c[order], src[order]
+        self.unit = np.flatnonzero(src < 0).astype(np.int32)
+        src[src < 0] = 0
+        self.src = src.astype(np.int32)
+        self.indices = c.astype(np.int32)
+        self.indptr = np.searchsorted(r, np.arange(shape[0] + 1)).astype(np.int32)
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        out = data[self.src]
+        out[self.unit] = 1.0
+        return _csr(out, self.indices, self.indptr, self.shape)
 
 
-def apply_dirichlet(K: sp.csr_matrix, rhs: np.ndarray, bc: DirichletBC):
+def eliminate_dirichlet(K: sp.csr_matrix, dofs: np.ndarray,
+                        elimination: Optional[DirichletElimination] = None) -> sp.csr_matrix:
+    """Zero rows/columns of ``dofs`` and put 1 on their diagonal.
+
+    ``elimination``, if given, must have been built for K's pattern and these
+    dofs (``Discretization.dirichlet_elimination``); otherwise one is built
+    here, and entries of K that are exactly zero are dropped first.
+    """
+    if elimination is None:
+        K = sp.csr_matrix(K, dtype=float, copy=True)
+        K.sum_duplicates()
+        K.eliminate_zeros()
+        elimination = DirichletElimination(K.indptr, K.indices, K.shape, dofs)
+    return elimination.matrix(K.data)
+
+
+def apply_dirichlet(K: sp.csr_matrix, rhs: np.ndarray, bc: DirichletBC,
+                    elimination: Optional[DirichletElimination] = None):
     """Symmetric elimination of a linear system.
 
     Returns (K', rhs') with K'[j, :] = K'[:, j] = e_j and rhs'[j] = value_j for
     constrained j, and rhs adjusted on free rows so the solution is unchanged.
+    ``elimination`` is passed on to ``eliminate_dirichlet``.
     """
-    n = K.shape[0]
-    g = np.zeros(n)
+    g = np.zeros(K.shape[0])
     g[bc.dofs] = bc.values
-    mask = np.ones(n)
-    mask[bc.dofs] = 0.0
-    rhs2 = mask * (rhs - K @ g)
+    rhs2 = rhs - K @ g
     rhs2[bc.dofs] = bc.values
-    return eliminate_dirichlet(K, bc.dofs), rhs2
+    return eliminate_dirichlet(K, bc.dofs, elimination), rhs2

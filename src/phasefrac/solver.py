@@ -131,7 +131,7 @@ def elastic_step(state: State, problem: Discretization, config: SolverConfig):
     K = assemble_Kuu(state, problem, apply_bc=False)
     f = assemble_load_u(state, problem)
     if problem.bc is not None:
-        K, f = apply_dirichlet(K, f, problem.bc)
+        K, f = apply_dirichlet(K, f, problem.bc, problem.dirichlet_elimination("uu"))
     if config.elastic_solver == "direct":
         return direct_factorize(K).solve(f), 0
     precond = stationary_precond(K, config.elastic_precond)
@@ -250,7 +250,7 @@ def _make_coupled_linear_solver(config: SolverConfig):
     def solve(J: BlockJacobian, inactive: np.ndarray, rhs: np.ndarray):
         if config.coupled_solver == "direct":
             sub = extract_submatrix(J.to_csr(), inactive, inactive)
-            return direct_factorize(sub).solve(rhs), None
+            return direct_factorize(sub, spd=False).solve(rhs), None
         iu = inactive[inactive < J.nu]
         ia = inactive[inactive >= J.nu] - J.nu
         red = BlockJacobian(extract_submatrix(J.A, iu, iu),

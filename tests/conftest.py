@@ -11,10 +11,11 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from phasefrac.fem import Discretization, State
 from phasefrac.mesh import rect_mesh
-from phasefrac.model import Material
+from phasefrac.model import C_W, Material
 
 
 def fd_gradient(f, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
@@ -80,6 +81,55 @@ def qp_enumerate(H: np.ndarray, c: np.ndarray, lower: np.ndarray,
             best = np.clip(x, lower, upper)
     assert best is not None, "enumeration oracle found no KKT point"
     return best
+
+
+def coo_hessian_blocks(state: State, problem: Discretization):
+    """(Kuu, Kua, Kaa) without boundary conditions, assembled one element at
+    a time into COO triplets that scipy sums on conversion to CSR."""
+    m = problem.material
+    nu, na = problem.n_udofs, problem.n_vertices
+    trip = {"uu": ([], [], []), "ua": ([], [], []), "aa": ([], [], [])}
+
+    def add(block, rows, cols, Ke):
+        r, c, v = trip[block]
+        for i, row in enumerate(rows):
+            for j, col in enumerate(cols):
+                r.append(row)
+                c.append(col)
+                v.append(Ke[i, j])
+
+    for e in range(problem.mesh.n_triangles):
+        ud, ad = problem.udofs[e], problem.adofs[e]
+        ab = np.array([state.alpha[ad].mean()])
+        a, ap, app = (float(v[0]) for v in problem.damage.a_eval(ab, m.k_ell))
+        area, Be, Ge = problem.area[e], problem.B[e], problem.G[e]
+        eps = Be @ state.u[ud] - problem.eps0[e]
+        sig = problem.D @ eps
+        add("uu", ud, ud, a * area * Be.T @ problem.D @ Be)
+        add("ua", ud, ad, np.outer(ap * area / 3.0 * (Be.T @ sig), np.ones(3)))
+        add("aa", ad, ad, 0.5 * app * float(eps @ sig) * area / 9.0 * np.ones((3, 3))
+            + 2.0 * (m.Gc / C_W) * m.ell * area * Ge.T @ Ge)
+    shapes = {"uu": (nu, nu), "ua": (nu, na), "aa": (na, na)}
+    return tuple(sp.coo_matrix((v, (r, c)), shape=shapes[b]).tocsr()
+                 for b, (r, c, v) in trip.items())
+
+
+def diag_product_elimination(K: sp.csr_matrix, dofs: np.ndarray,
+                             columns: bool = True) -> sp.csr_matrix:
+    """Dirichlet elimination by sparse diagonal products: zero the rows (and
+    columns) of ``dofs``, put 1 on their diagonal, drop exact zeros."""
+    n = K.shape[0]
+    mask = np.ones(n)
+    mask[dofs] = 0.0
+    if not columns:
+        out = (sp.diags(mask) @ K).tocsr()
+    else:
+        ones = np.zeros(n)
+        ones[dofs] = 1.0
+        out = (sp.diags(mask) @ K @ sp.diags(mask) + sp.diags(ones)).tocsr()
+    out.eliminate_zeros()
+    out.sort_indices()
+    return out
 
 
 def random_spd(rng: np.random.Generator, n: int, shift: float = 1.0) -> np.ndarray:

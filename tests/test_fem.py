@@ -9,7 +9,10 @@ on states where the quadrature is exact.
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, fd_jacobian, random_feasible_state
+from conftest import (coo_hessian_blocks, diag_product_elimination, fd_gradient,
+                      fd_jacobian, random_feasible_state)
+
+import phasefrac.fem as fem
 
 from phasefrac.fem import (DirichletBC, Discretization, State, apply_dirichlet,
                            assemble_energy, assemble_Kaa, assemble_Kua,
@@ -289,6 +292,106 @@ class TestDirichlet:
         c = combine_bcs(a, b)
         assert np.array_equal(c.dofs, [0, 3])
         assert np.array_equal(c.values, [1.0, 2.0])
+
+
+class TestFixedPattern:
+    """Fixed-pattern assembly and precomputed elimination against the naive
+    COO oracle and elimination by diagonal products."""
+
+    @staticmethod
+    def _bcs(mesh):
+        clamp = np.concatenate([boundary_dofs(mesh, "left", "displacement_x1"),
+                                boundary_dofs(mesh, "bottom", "displacement_x2")])
+        top = np.unique(np.concatenate([boundary_dofs(mesh, "top", "displacement_x1"),
+                              boundary_dofs(mesh, "top", "displacement_x2"),
+                              boundary_dofs(mesh, "right", "displacement_x2")]))
+        rng = np.random.default_rng(30)
+        return [DirichletBC(d, rng.standard_normal(d.size)) for d in (clamp, top)]
+
+    @staticmethod
+    def _close(K, oracle):
+        scale = abs(oracle).max()
+        assert K.shape == oracle.shape
+        assert abs(K - oracle).max() <= 1e-14 * scale
+
+    @pytest.fixture
+    def problem(self, small_material):
+        problem = Discretization(rect_mesh(1.0, 0.5, 0.125), small_material)
+        problem.eps0 = np.random.default_rng(31).standard_normal(
+            (problem.mesh.n_triangles, 3)) * 0.01
+        return problem
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_blocks_match_coo_oracle(self, problem, seed):
+        state = random_feasible_state(problem, np.random.default_rng(seed))
+        Kuu, Kua, Kaa = coo_hessian_blocks(state, problem)
+        self._close(assemble_Kuu(state, problem, apply_bc=False), Kuu)
+        self._close(assemble_Kua(state, problem, apply_bc=False), Kua)
+        self._close(assemble_Kaa(state, problem), Kaa)
+        problem.bc = self._bcs(problem.mesh)[0]
+        self._close(assemble_Kuu(state, problem, apply_bc=True),
+                    diag_product_elimination(Kuu, problem.bc.dofs))
+        self._close(assemble_Kua(state, problem, apply_bc=True),
+                    diag_product_elimination(Kua, problem.bc.dofs, columns=False))
+
+    def test_eliminated_pattern_matches_diag_products(self, problem):
+        state = random_feasible_state(problem, np.random.default_rng(3))
+        problem.bc = self._bcs(problem.mesh)[0]
+        K = assemble_Kuu(state, problem, apply_bc=True)
+        full = assemble_Kuu(state, problem, apply_bc=False)
+        for oracle in (diag_product_elimination(coo_hessian_blocks(state, problem)[0],
+                                                problem.bc.dofs),
+                       eliminate_dirichlet(full, problem.bc.dofs)):
+            assert np.array_equal(K.indptr, oracle.indptr)
+            assert np.array_equal(K.indices, oracle.indices)
+
+    def test_pattern_has_no_structural_zeros(self, problem):
+        # entries that vanish in every element's B^T D B get no slot
+        state = random_feasible_state(problem, np.random.default_rng(4))
+        K = assemble_Kuu(state, problem, apply_bc=False)
+        assert np.all(K.data != 0.0)
+        assert K.nnz < coo_hessian_blocks(state, problem)[0].nnz
+
+    def test_two_dof_sets_on_one_discretization(self, problem):
+        state = random_feasible_state(problem, np.random.default_rng(5))
+        Kuu, Kua, _ = coo_hessian_blocks(state, problem)
+        first, second = self._bcs(problem.mesh)
+        for bc in (first, second, first):
+            problem.bc = bc
+            self._close(assemble_Kuu(state, problem, apply_bc=True),
+                        diag_product_elimination(Kuu, bc.dofs))
+            self._close(assemble_Kua(state, problem, apply_bc=True),
+                        diag_product_elimination(Kua, bc.dofs, columns=False))
+            K, rhs = apply_dirichlet(assemble_Kuu(state, problem, apply_bc=False),
+                                     np.ones(problem.n_udofs), bc,
+                                     problem.dirichlet_elimination("uu"))
+            K0, rhs0 = apply_dirichlet(Kuu, np.ones(problem.n_udofs), bc)
+            self._close(K, K0)
+            assert np.allclose(rhs, rhs0, rtol=1e-13, atol=0.0)
+
+    def test_construction_builds_no_pattern(self, small_material, monkeypatch):
+        built = []
+        real = fem.BlockPattern
+
+        def spy(*args, **kwargs):
+            built.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "BlockPattern", spy)
+        problem = Discretization(rect_mesh(1.0, 0.5, 0.25), small_material)
+        assert built == []
+        state = State.zeros(problem.mesh)
+        assemble_Kuu(state, problem, apply_bc=False)
+        assemble_Kuu(state, problem, apply_bc=False)
+        assert len(built) == 1
+
+    def test_results_do_not_share_index_arrays(self, problem):
+        state = random_feasible_state(problem, np.random.default_rng(6))
+        K1 = assemble_Kaa(state, problem)
+        K1.indices[:] = 0
+        K1.indptr[:] = 0
+        K2 = assemble_Kaa(state, problem)
+        self._close(K2, coo_hessian_blocks(state, problem)[2])
 
 
 class TestState:

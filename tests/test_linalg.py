@@ -8,8 +8,11 @@ import scipy.sparse as sp
 
 from conftest import random_spd
 
+from phasefrac.cases import setup_surfing
+from phasefrac.fem import State, assemble_Kuu
 from phasefrac.linalg import (BlockJacobian, FieldSplitPreconditioner,
-                              SingularOperatorError, cg_solve, direct_factorize,
+                              SingularOperatorError, _find_zero_pivot,
+                              cg_solve, direct_factorize,
                               direct_solve, dump_matrix, extract_submatrix,
                               fieldsplit_apply, inner_cg, inner_direct,
                               minres_solve, stationary_precond)
@@ -19,6 +22,11 @@ def laplacian_1d(n: int) -> sp.csr_matrix:
     main = 2.0 * np.ones(n)
     off = -np.ones(n - 1)
     return sp.diags([off, main, off], [-1, 0, 1]).tocsr()
+
+
+def laplacian_2d(n: int) -> sp.csr_matrix:
+    eye = sp.eye(n)
+    return (sp.kron(laplacian_1d(n), eye) + sp.kron(eye, laplacian_1d(n))).tocsr()
 
 
 class TestCG:
@@ -130,6 +138,60 @@ class TestDirect:
         b = rng.standard_normal(30)
         x = direct_solve(direct_factorize(A), b)
         assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+
+    def test_spd_path_sparse_residual(self):
+        rng = np.random.default_rng(40)
+        A = laplacian_2d(30) + sp.diags(rng.uniform(0.0, 1e-3, 900))
+        b = rng.standard_normal(900)
+        x = direct_factorize(A).solve(b)
+        assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("spd", [True, False])
+    def test_zero_row_raises_on_both_paths(self, spd):
+        A = laplacian_2d(10).tolil()
+        A[37, :] = 0.0
+        A[:, 37] = 0.0
+        with pytest.raises(SingularOperatorError):
+            direct_factorize(A.tocsr(), spd=spd)
+
+    @pytest.mark.parametrize("n", [3, 2100])
+    @pytest.mark.parametrize("spd", [True, False])
+    def test_non_finite_entry_raises_typed_error(self, n, spd):
+        A = laplacian_1d(n).tolil()
+        A[1, 1] = np.nan
+        A[n - 1, n - 2] = np.inf
+        with pytest.raises(SingularOperatorError):
+            direct_factorize(A.tocsr(), spd=spd)
+
+    def test_zero_pivot_search_never_raises(self):
+        A = sp.csr_matrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        assert _find_zero_pivot(A) == -1
+        assert _find_zero_pivot(sp.csr_matrix((0, 0))) == -1
+
+    def test_indefinite_kkt_with_partial_pivoting(self):
+        # saddle point [[A, B], [B^T, 0]]: symmetric, indefinite, zero diagonal
+        rng = np.random.default_rng(41)
+        A = laplacian_2d(8)
+        B = sp.random(64, 10, density=0.2, random_state=42) + sp.eye(64, 10)
+        K = sp.bmat([[A, B], [B.T, None]], format="csr")
+        assert np.count_nonzero(K.diagonal() == 0.0) == 10
+        b = rng.standard_normal(74)
+        x = direct_factorize(K, spd=False).solve(b)
+        assert np.linalg.norm(b - K @ x) <= 1e-10 * np.linalg.norm(b)
+
+    def test_spd_fill_not_above_partial_pivoting_on_surfing_block(self):
+        setup = setup_surfing(n_steps=2)
+        state = State.zeros(setup.mesh)
+        setup.apply_load(setup.problem, state, 0.0)
+        K = assemble_Kuu(state, setup.problem, apply_bc=True)
+
+        def fill(f):
+            return f._lu.L.nnz + f._lu.U.nnz
+
+        spd, pivoted = direct_factorize(K), direct_factorize(K, spd=False)
+        assert fill(spd) <= fill(pivoted)
+        b = np.ones(K.shape[0])
+        assert np.linalg.norm(b - K @ spd.solve(b)) <= 1e-10 * np.linalg.norm(b)
 
 
 class TestSubmatrix:

@@ -43,6 +43,12 @@ class TestParsing:
         assert cfg.method == "am" and cfg.omega == 1.0
         assert cfg.directory == "out"
 
+    def test_readme_minimal_config_parses(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        minimal = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(minimal)
+        assert cfg.case == "traction" and cfg.ell == 0.1
+
     def test_case_specific_defaults(self):
         th = parse_config("[case]\nname = thermal_shock\n")
         assert (th.ell, th.L, th.H, th.n_steps) == (1.0, 20.0, 10.0, 40)

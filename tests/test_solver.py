@@ -7,7 +7,9 @@ import scipy.sparse as sp
 from phasefrac.cases import run_quasistatic, setup_traction
 from phasefrac.fem import State, apply_dirichlet, assemble_energy, assemble_Kuu, assemble_load_u
 from phasefrac.model import Material
-from phasefrac.solver import (SolverConfig, am_solve, coupled_newton_solve,
+from phasefrac.linalg import BlockJacobian
+from phasefrac.solver import (SolverConfig, _make_coupled_linear_solver,
+                              am_solve, coupled_newton_solve,
                               damage_step, elastic_step, first_order_residual,
                               inactive_block_jacobian, oram_n_solve,
                               residual_norm, solve_load_step)
@@ -247,6 +249,22 @@ class TestCoupledNewton:
         assert rep_f.total_krylov_iterations > 0
         scale = 1.0 + np.max(np.abs(out_d.alpha))
         assert np.allclose(out_f.alpha, out_d.alpha, atol=1e-5 * scale)
+
+    def test_direct_linear_solve_on_indefinite_kkt(self):
+        # the coupled system is symmetric indefinite; with a zero damage
+        # block the inactive submatrix has zero diagonal entries and needs
+        # pivoting off the diagonal
+        rng = np.random.default_rng(20)
+        n, m = 40, 8
+        main = 2.0 * np.ones(n)
+        A = sp.diags([-np.ones(n - 1), main, -np.ones(n - 1)], [-1, 0, 1]).tocsr()
+        B = sp.csr_matrix(rng.standard_normal((n, m)))
+        J = BlockJacobian(A, B, sp.csr_matrix((m, m)))
+        inactive = np.arange(n + m)
+        rhs = rng.standard_normal(n + m)
+        d, _ = _make_coupled_linear_solver(SolverConfig(coupled_solver="direct"))(
+            J, inactive, rhs)
+        assert np.linalg.norm(J.to_csr() @ d - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_merit_history_nonincreasing(self, traction):
         state = cracking_state(traction)

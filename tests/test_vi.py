@@ -200,6 +200,17 @@ class TestRSLS:
             MCProblem(residual=lambda x: x, jacobian=lambda x: sp.eye(2),
                       lower=np.array([0.0, 2.0]), upper=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("n", [3, 2100])
+    def test_non_finite_jacobian_is_a_linear_failure(self, n):
+        # the LU rejects the block with a typed error, which rsls_solve counts
+        # and answers with a gradient step instead of crashing
+        H = sp.eye(n, format="lil")
+        H[0, 0] = np.nan
+        p = MCProblem(residual=lambda x: x - 0.5, jacobian=lambda x: H.tocsr(),
+                      lower=np.zeros(n), upper=np.ones(n))
+        _, rep = rsls_solve(p, np.full(n, 0.25), config=VIConfig(max_iterations=2))
+        assert rep.linear_failures >= 1
+
     def test_config_knobs_respected(self):
         p = qp_problem(np.eye(1), np.array([-2.0]), [0.0], [np.inf])
         _, rep = rsls_solve(p, np.array([0.0]), config=VIConfig(max_iterations=1))
