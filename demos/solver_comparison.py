@@ -6,9 +6,9 @@ bound-constrained energy minimization at each load step:
 
   * am          — alternate minimization (block Gauss-Seidel on u and alpha);
                   robust, safe, and slow when cracks move far per step.
-  * oram        — the same sweep over-relaxed by omega in (0, 2); the
+  * am, omega≠1 — ORAM: the same sweep over-relaxed by omega in (0, 2); the
                   feasibility backtracking keeps iterates in the box.
-  * oram+newton — over-relaxed sweeps until the step has nearly settled, then
+  * oram_newton — over-relaxed sweeps until the step has nearly settled, then
                   a reduced-space semismooth Newton solve on the coupled
                   system polishes it to tight tolerance (and is accepted only
                   if it converged without raising the energy).
@@ -33,10 +33,10 @@ def main() -> None:
     material = Material(E=1.0, nu=0.3, Gc=1.0, ell=0.1)
 
     configs = [
-        ("am  omega=1.0", SolverConfig(method="am", omega=1.0)),
-        ("oram omega=1.4", SolverConfig(method="am", omega=1.4)),
-        ("oram omega=1.6", SolverConfig(method="am", omega=1.6)),
-        ("oram+newton 1.6", SolverConfig(method="oram_newton", omega=1.6)),
+        ("am omega=1.0", SolverConfig(method="am", omega=1.0)),
+        ("am omega=1.4", SolverConfig(method="am", omega=1.4)),
+        ("am omega=1.6", SolverConfig(method="am", omega=1.6)),
+        ("oram_newton 1.6", SolverConfig(method="oram_newton", omega=1.6)),
     ]
 
     print("surfing strip, h = 0.05, 12 load steps; cost proxy = AM + 3*Newton\n")

@@ -26,7 +26,7 @@ The package provides
 __version__ = "0.1.0"
 
 from .cases import (ProblemSetup, StepFailureError, StepRecord,
-                    crack_band_count, erfc, run_quasistatic, setup_surfing,
+                    crack_band_count, run_quasistatic, setup_surfing,
                     setup_thermal_shock, setup_traction, surfing_displacement,
                     thermal_strain)
 from .fem import (DirichletBC, Discretization, EnergyBreakdown, State,
@@ -38,16 +38,15 @@ from .linalg import (BlockJacobian, BreakdownError, ChebyshevPreconditioner,
                      JacobiPreconditioner, LinearSolveReport,
                      LinearSolverError, SingularOperatorError,
                      SSORPreconditioner, cg_solve, direct_factorize,
-                     direct_solve, dump_matrix, extract_submatrix,
-                     fieldsplit_apply, inner_cg, inner_direct, minres_solve,
+                     extract_submatrix, inner_cg, inner_direct, minres_solve,
                      stationary_precond)
 from .mesh import (BOUNDARY_TAGS, Mesh, banded_rect_mesh, boundary_dofs,
                    rect_mesh)
-from .model import (C_W, DamageModel, Material, critical_shock,
-                    critical_traction, internal_length, stiffness_tensor)
+from .model import (C_W, Material, critical_shock, critical_traction,
+                    degradation, dissipation, internal_length)
 from .runio import (ConfigError, RunConfig, SweepSpec, build_material,
-                    build_setup, build_solver_config, echo_config,
-                    parse_config, parse_sweep, run, sweep)
+                    build_setup, configure, echo_config, parse_config,
+                    parse_sweep, run, sweep)
 from .solver import (NonlinearReport, SolverConfig, am_solve,
                      coupled_newton_solve, damage_step, elastic_step,
                      first_order_residual, inactive_block_jacobian,

@@ -20,23 +20,20 @@ damage) and warm starting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.special import erfc as _erfc
+from scipy.special import erfc
 
 from .fem import (Discretization, DirichletBC, EnergyBreakdown, State,
                   assemble_energy, combine_bcs)
+from .linalg import LinearSolverError
 from .mesh import Mesh, banded_rect_mesh, boundary_dofs, rect_mesh
 from .model import Material, critical_shock, critical_traction
 from .solver import NonlinearReport, SolverConfig, solve_load_step
-
-
-def erfc(z):
-    """Complementary error function, vectorized (exact to double precision)."""
-    return _erfc(z)
 
 
 def surfing_displacement(points, t: float, material: Material,
@@ -251,13 +248,18 @@ class StepRecord:
 
 
 class StepFailureError(RuntimeError):
-    """Nonlinear solve failed at one load step; carries the partial run."""
+    """Nonlinear solve failed at one load step; carries the partial run.
+
+    ``report`` is None when a linear solver raised ``cause`` mid-step.
+    """
 
     def __init__(self, step: int, load: float, records: list, state: State,
-                 report: NonlinearReport):
-        super().__init__(
-            f"solver did not converge at step {step} (load {load:g}); "
-            f"final residual {report.final_residual_norm:.3e}")
+                 report: Optional[NonlinearReport], cause: Optional[Exception] = None):
+        if cause is None:
+            why = f"final residual {report.final_residual_norm:.3e}"
+        else:
+            why = f"{type(cause).__name__}: {cause}"
+        super().__init__(f"solver did not converge at step {step} (load {load:g}); {why}")
         self.step = step
         self.load = load
         self.records = records
@@ -266,7 +268,8 @@ class StepFailureError(RuntimeError):
 
 
 def run_quasistatic(setup: ProblemSetup, config: SolverConfig,
-                    snapshot_stride: int = 1) -> list:
+                    snapshot_stride: int = 1,
+                    log: Optional[Callable[[int, dict], None]] = None) -> list:
     """March a fresh state through the loading schedule.
 
     Per step: the damage lower bound becomes the previous step's damage
@@ -275,8 +278,9 @@ def run_quasistatic(setup: ProblemSetup, config: SolverConfig,
     seed perturbation is merged in when the threshold is first exceeded, and
     the configured nonlinear solver runs.  Field snapshots are stored every
     ``snapshot_stride`` steps (always on the final step); ``snapshot_stride=0``
-    disables them.  Non-convergence raises StepFailureError carrying the
-    records accumulated so far.
+    disables them.  ``log(step, row)``, if given, receives the solver's
+    per-iteration rows.  Non-convergence and linear-solver errors raise
+    StepFailureError carrying the records accumulated so far.
     """
     state = State.zeros(setup.mesh, setup.initial_alpha_lb)
     records: list = []
@@ -294,7 +298,11 @@ def run_quasistatic(setup: ProblemSetup, config: SolverConfig,
             state.alpha = np.maximum(state.alpha, setup.seed_alpha)
             seeded = True
 
-        report = solve_load_step(state, setup.problem, config)
+        try:
+            report = solve_load_step(state, setup.problem, config,
+                                     log=None if log is None else partial(log, k))
+        except LinearSolverError as exc:
+            raise StepFailureError(k, t, records, state, None, cause=exc) from exc
         energy = assemble_energy(state, setup.problem)
         snap = snapshot_stride > 0 and (k % snapshot_stride == 0 or k == n - 1)
         records.append(StepRecord(

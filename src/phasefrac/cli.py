@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .linalg import LinearSolverError
 from .runio import ConfigError, echo_config, parse_config, parse_sweep, run, sweep
 
 
@@ -57,9 +56,6 @@ def main(argv: Optional[list] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except LinearSolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh
-from .model import C_W, DamageModel, Material
+from .model import C_W, Material, degradation, dissipation
 
 
 class EnergyBreakdown(NamedTuple):
@@ -98,10 +98,9 @@ class Discretization:
     routines are pure functions of (state, problem attributes).
     """
 
-    def __init__(self, mesh: Mesh, material: Material, damage: Optional[DamageModel] = None):
+    def __init__(self, mesh: Mesh, material: Material):
         self.mesh = mesh
         self.material = material
-        self.damage = damage or DamageModel()
         self.bc: Optional[DirichletBC] = None
 
         tri = mesh.triangles
@@ -198,8 +197,8 @@ def assemble_energy(state: State, problem: Discretization) -> EnergyBreakdown:
     """Elastic / dissipated / total energy of the state."""
     m = problem.material
     ab = problem._alpha_bar(state.alpha)
-    a, _, _ = problem.damage.a_eval(ab, m.k_ell)
-    w, _, _ = problem.damage.w_eval(ab)
+    a, _, _ = degradation(ab, m.k_ell)
+    w, _, _ = dissipation(ab)
     eps = problem._eps_eff(state.u)
     q = np.einsum("ei,ij,ej->e", eps, problem.D, eps)
     elastic = 0.5 * float(np.dot(problem.area, a * q))
@@ -214,7 +213,7 @@ def assemble_residual_u(state: State, problem: Discretization,
     """Gradient of the energy in u; Dirichlet rows replaced by (u - ubar)."""
     m = problem.material
     ab = problem._alpha_bar(state.alpha)
-    a, _, _ = problem.damage.a_eval(ab, m.k_ell)
+    a, _, _ = degradation(ab, m.k_ell)
     eps = problem._eps_eff(state.u)
     sig = np.einsum("ij,ej->ei", problem.D, eps)
     re = (a * problem.area)[:, None] * np.einsum("eik,ei->ek", problem.B, sig)
@@ -228,7 +227,7 @@ def assemble_load_u(state: State, problem: Discretization) -> np.ndarray:
     """Inelastic-strain load vector f with residual_u(u) = Kuu u - f (no BC)."""
     m = problem.material
     ab = problem._alpha_bar(state.alpha)
-    a, _, _ = problem.damage.a_eval(ab, m.k_ell)
+    a, _, _ = degradation(ab, m.k_ell)
     sig0 = np.einsum("ij,ej->ei", problem.D, problem.eps0)
     fe = (a * problem.area)[:, None] * np.einsum("eik,ei->ek", problem.B, sig0)
     return problem._scatter(problem.udofs, fe, problem.n_udofs)
@@ -238,8 +237,8 @@ def assemble_residual_alpha(state: State, problem: Discretization) -> np.ndarray
     """Gradient of the energy in alpha (no Dirichlet data on damage)."""
     m = problem.material
     ab = problem._alpha_bar(state.alpha)
-    _, ap, _ = problem.damage.a_eval(ab, m.k_ell)
-    _, wp, _ = problem.damage.w_eval(ab)
+    _, ap, _ = degradation(ab, m.k_ell)
+    _, wp, _ = dissipation(ab)
     eps = problem._eps_eff(state.u)
     q = np.einsum("ei,ij,ej->e", eps, problem.D, eps)
     # d(ab)/d(alpha_m) = 1/3 for each of the three nodes
@@ -300,7 +299,7 @@ def assemble_Kuu(state: State, problem: Discretization, apply_bc: bool = True) -
     """Damage-degraded elasticity matrix; Dirichlet rows/cols eliminated."""
     m = problem.material
     ab = problem._alpha_bar(state.alpha)
-    a, _, _ = problem.damage.a_eval(ab, m.k_ell)
+    a, _, _ = degradation(ab, m.k_ell)
     K = problem.pattern("uu").matrix((a * problem.area)[:, None, None] * problem.BtDB)
     if apply_bc and problem.bc is not None:
         K = eliminate_dirichlet(K, problem.bc.dofs, problem.dirichlet_elimination("uu"))
@@ -311,7 +310,7 @@ def assemble_Kua(state: State, problem: Discretization, apply_bc: bool = True) -
     """Mixed block d(residual_u)/d(alpha); Dirichlet rows dropped."""
     m = problem.material
     ab = problem._alpha_bar(state.alpha)
-    _, ap, _ = problem.damage.a_eval(ab, m.k_ell)
+    _, ap, _ = degradation(ab, m.k_ell)
     eps = problem._eps_eff(state.u)
     sig = np.einsum("ij,ej->ei", problem.D, eps)
     v = (ap * problem.area / 3.0)[:, None] * np.einsum("eik,ei->ek", problem.B, sig)
@@ -326,7 +325,7 @@ def assemble_Kaa(state: State, problem: Discretization) -> sp.csr_matrix:
     """Damage block: strain-energy reaction + (Gc/c_w) ell Laplacian (w'' = 0)."""
     m = problem.material
     ab = problem._alpha_bar(state.alpha)
-    _, _, app = problem.damage.a_eval(ab, m.k_ell)
+    _, _, app = degradation(ab, m.k_ell)
     eps = problem._eps_eff(state.u)
     q = np.einsum("ei,ij,ej->e", eps, problem.D, eps)
     react = (0.5 * app * q * problem.area / 9.0)[:, None, None]

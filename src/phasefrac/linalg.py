@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -282,10 +281,6 @@ def direct_factorize(A, spd: bool = True) -> DirectFactorization:
     return DirectFactorization(lu)
 
 
-def direct_solve(factorization: DirectFactorization, b: np.ndarray) -> np.ndarray:
-    return factorization.solve(b)
-
-
 # -- submatrix extraction ------------------------------------------------------
 
 
@@ -398,18 +393,14 @@ class ChebyshevPreconditioner:
         return x
 
 
-_STATIONARY = {"jacobi": JacobiPreconditioner, "ssor": SSORPreconditioner,
-               "chebyshev": ChebyshevPreconditioner}
+#: stationary preconditioners by name; the keys are the ``elastic_precond`` choices
+STATIONARY = {"jacobi": JacobiPreconditioner, "ssor": SSORPreconditioner,
+              "chebyshev": ChebyshevPreconditioner}
 
 
 def stationary_precond(A, kind: str, **kwargs):
-    """Build a Jacobi / SSOR / Chebyshev preconditioner for a CSR matrix."""
-    try:
-        cls = _STATIONARY[kind]
-    except KeyError:
-        raise ValueError(f"unknown preconditioner kind {kind!r}; "
-                         f"have {sorted(_STATIONARY)}") from None
-    return cls(A, **kwargs)
+    """Build the preconditioner ``STATIONARY[kind]`` for a CSR matrix."""
+    return STATIONARY[kind](A, **kwargs)
 
 
 # -- field-split block preconditioner -------------------------------------------
@@ -450,11 +441,6 @@ class FieldSplitPreconditioner:
         return np.concatenate([xu, z])
 
 
-def fieldsplit_apply(precond: FieldSplitPreconditioner, r: np.ndarray) -> np.ndarray:
-    """Apply the field-split preconditioner to a stacked residual."""
-    return precond.matvec(r)
-
-
 def inner_direct(M) -> Callable[[np.ndarray], np.ndarray]:
     """Exact inner solver: one LU factorization, reused per application."""
     if M.shape[0] == 0:
@@ -474,8 +460,3 @@ def inner_cg(M, budget: int = 5, precond_kind: str = "ssor") -> Callable[[np.nda
         return x
 
     return solve
-
-
-def dump_matrix(path, A) -> None:
-    """Write a matrix in MatrixMarket coordinate format."""
-    scipy.io.mmwrite(str(path), sp.coo_matrix(A))

@@ -36,10 +36,13 @@ class Material:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.E <= 0 or self.Gc <= 0 or self.ell <= 0:
-            raise ValueError("E, Gc and ell must be positive")
+        for name in ("E", "Gc", "ell", "beta"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        if not 0.0 <= self.k_ell < math.inf:
+            raise ValueError(f"k_ell must be nonnegative and finite, got {self.k_ell!r}")
         if not -1.0 < self.nu < 0.5:
-            raise ValueError(f"nu={self.nu} out of the admissible range (-1, 0.5)")
+            raise ValueError(f"nu={self.nu!r} out of the admissible range (-1, 0.5)")
 
     @property
     def mu(self) -> float:
@@ -61,24 +64,17 @@ class Material:
         return c * ((1.0 - self.nu) * eps + self.nu * np.trace(eps) * np.eye(2))
 
 
-class DamageModel:
-    """The (w, a) pair with value/first/second-derivative evaluation."""
-
-    def a_eval(self, alpha, k_ell: float = 1e-6):
-        """Return (a, a', a'') of a(alpha) = (1 - alpha)^2 + k_ell."""
-        alpha = np.asarray(alpha, dtype=float)
-        one_m = 1.0 - alpha
-        return one_m * one_m + k_ell, -2.0 * one_m, np.full_like(alpha, 2.0)
-
-    def w_eval(self, alpha):
-        """Return (w, w', w'') of w(alpha) = alpha."""
-        alpha = np.asarray(alpha, dtype=float)
-        return alpha.copy(), np.ones_like(alpha), np.zeros_like(alpha)
+def degradation(alpha, k_ell: float = 1e-6):
+    """Return (a, a', a'') of a(alpha) = (1 - alpha)^2 + k_ell."""
+    alpha = np.asarray(alpha, dtype=float)
+    one_m = 1.0 - alpha
+    return one_m * one_m + k_ell, -2.0 * one_m, np.full_like(alpha, 2.0)
 
 
-def stiffness_tensor(material: Material, eps: np.ndarray) -> np.ndarray:
-    """Apply the plane-stress elasticity tensor to a 2x2 strain."""
-    return material.stress(eps)
+def dissipation(alpha):
+    """Return (w, w', w'') of w(alpha) = alpha."""
+    alpha = np.asarray(alpha, dtype=float)
+    return alpha.copy(), np.ones_like(alpha), np.zeros_like(alpha)
 
 
 def critical_traction(material: Material) -> float:
@@ -99,8 +95,6 @@ def critical_shock(material: Material) -> float:
     i.e. beta * dT_c equals the critical traction strain at the same (E, Gc, ell).
     """
     m = material
-    if m.beta <= 0:
-        raise ValueError("beta must be positive for a thermal shock threshold")
     return math.sqrt(3.0 * m.Gc / (8.0 * m.E * m.ell)) / m.beta
 
 

@@ -22,8 +22,8 @@ is optional and validated; unknown sections or keys are errors:
     tau_max = 3.0              ; thermal shock: last time
 
     [solver]
-    method = am                ; am | oram | oram_n | newton_only
-    omega = 1.0                ; over-relaxation weight, must lie in (0, 2)
+    method = am                ; am | oram_newton | newton_only
+    omega = 1.0                ; relaxation weight in (0, 2); omega != 1 is ORAM
     outer_atol = 1e-07
     am_rtol = 0.1
     max_am_iterations = 1000
@@ -41,8 +41,7 @@ is optional and validated; unknown sections or keys are errors:
 
     [output]
     directory = out
-    snapshot_stride = 1
-    seed = 0                   ; reserved for property tests; runs are deterministic
+    snapshot_stride = 1        ; 0 disables field snapshots
 
 A sweep file adds one section:
 
@@ -54,19 +53,25 @@ A sweep file adds one section:
 step, columns step,load,elastic,dissipated,total,am_iters,newton_iters,
 krylov_iters,omega_bar_min), ``iterations.csv`` (per nonlinear iteration),
 ``step_NNNN.vtk`` legacy ASCII snapshots, and ``provenance.txt`` (version and
-config echo; no timestamps, so reruns are bitwise identical).  ``sweep`` runs
-one sub-run per value and writes ``summary.csv``.
+config echo; no timestamps, so reruns are bitwise identical), plus
+``FAILED.txt`` when a load step fails.  ``sweep`` runs one sub-run per value
+and writes ``summary.csv``.
+
+The keys of [solver] and [linear] are the fields of ``SolverConfig``; those of
+[case] and [output] are the other fields of ``RunConfig``.
 """
 
 from __future__ import annotations
 
 import configparser
+import csv
 import dataclasses
 import io
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -83,21 +88,24 @@ class ConfigError(ValueError):
     """Invalid or unparsable configuration (CLI exit code 2)."""
 
 
-_CASES = ("traction", "surfing", "thermal_shock")
-_METHODS = ("am", "oram", "oram_n", "newton_only")
 _CASE_DEFAULTS = {
-    "traction": {"L": 1.0, "H": 0.3, "n_steps": 30},
-    "surfing": {"L": 2.0, "H": 1.0, "n_steps": 25},
-    "thermal_shock": {"L": 20.0, "H": 10.0, "n_steps": 40},
+    "traction": {"ell": 0.1, "L": 1.0, "H": 0.3, "n_steps": 30},
+    "surfing": {"ell": 0.1, "L": 2.0, "H": 1.0, "n_steps": 25},
+    "thermal_shock": {"ell": 1.0, "L": 20.0, "H": 10.0, "n_steps": 40},
 }
+_OUTPUT = {"section": "output"}
 
 
 @dataclass
 class RunConfig:
-    """Fully resolved configuration; every default already applied."""
+    """A run: the [case] and [output] values and the solver settings.
 
-    # [case]
-    case: str = "traction"
+    INI keys are field names.  RunConfig's fields belong to [case] unless
+    their metadata names another section; the fields of ``solver`` are read
+    from [solver] and [linear].  ``configure`` checks a config.
+    """
+
+    name: str = "traction"
     ell: float = 0.1
     h: float = 0.02
     L: float = 1.0
@@ -113,26 +121,59 @@ class RunConfig:
     dT_factor: float = 1.0
     tau_min: float = 0.05
     tau_max: float = 3.0
-    # [solver]
-    method: str = "am"
-    omega: float = 1.0
-    outer_atol: float = 1e-7
-    am_rtol: float = 0.1
-    max_am_iterations: int = 1000
-    max_newton_iterations: int = 30
-    max_outer_cycles: int = 20
-    # [linear]
-    elastic: str = "direct"
-    elastic_precond: str = "ssor"
-    elastic_rtol: float = 1e-10
-    coupled: str = "fieldsplit"
-    fieldsplit_inner: str = "direct"
-    fieldsplit_cg_budget: int = 5
-    fieldsplit_rtol: float = 1e-6
-    # [output]
-    directory: str = "out"
-    snapshot_stride: int = 1
-    seed: int = 0
+    solver: SolverConfig = field(default_factory=SolverConfig)
+    directory: str = field(default="out", metadata=_OUTPUT)
+    snapshot_stride: int = field(default=1, metadata=_OUTPUT)
+
+
+def _schema() -> dict:
+    """INI section -> fields, with SolverConfig's in place of ``RunConfig.solver``."""
+    schema: dict = {}
+    for f in dataclasses.fields(RunConfig):
+        nested = f.name == "solver"
+        for g in dataclasses.fields(SolverConfig) if nested else (f,):
+            section = g.metadata.get("section", "solver" if nested else "case")
+            schema.setdefault(section, []).append(g)
+    return schema
+
+
+_SECTIONS = _schema()
+_SOLVER_KEYS = frozenset(f.name for f in dataclasses.fields(SolverConfig))
+_SWEEPABLE = ("omega", "ell", "h", "dT_factor")
+_PARSE = {"float": float, "int": int, "str": str.strip}   # by annotation (a string)
+
+
+def configure(base: RunConfig, **changes) -> RunConfig:
+    """``base`` with ``changes`` applied, checked: the one gate for configs.
+
+    Keys name fields of RunConfig or of its SolverConfig.  SolverConfig
+    checks the solver values and Material the material constants; the case,
+    geometry, schedule and output values are checked here.  Every failure is
+    a ConfigError.
+    """
+    solver = {k: changes.pop(k) for k in list(changes) if k in _SOLVER_KEYS}
+    try:
+        cfg = dataclasses.replace(
+            base, solver=dataclasses.replace(base.solver, **solver), **changes)
+        build_material(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if cfg.name not in _CASE_DEFAULTS:
+        raise ConfigError(
+            f"[case] name must be one of {tuple(_CASE_DEFAULTS)}, got {cfg.name!r}")
+    for key in ("h", "L", "H", "load_max_factor", "t_end", "dT_factor",
+                "tau_min", "tau_max"):
+        if not 0.0 < getattr(cfg, key) < math.inf:
+            raise ConfigError(
+                f"[case] {key} must be positive and finite, got {getattr(cfg, key)!r}")
+    if not cfg.tau_min < cfg.tau_max:
+        raise ConfigError("[case] tau_min must be smaller than tau_max")
+    if cfg.n_steps < 1:
+        raise ConfigError(f"[case] n_steps must be at least 1, got {cfg.n_steps!r}")
+    if cfg.snapshot_stride < 0:
+        raise ConfigError(
+            f"[output] snapshot_stride must be nonnegative, got {cfg.snapshot_stride!r}")
+    return cfg
 
 
 @dataclass
@@ -151,35 +192,6 @@ class SweepSpec:
             raise ConfigError("sweep values list must not be empty")
 
 
-_SWEEPABLE = ("omega", "ell", "h", "dT_factor")
-
-# (section, key) -> (attribute, type); types: f float, i int, s string
-_SCHEMA = {
-    "case": [("name", "case", "s"), ("ell", "ell", "f"), ("h", "h", "f"),
-             ("L", "L", "f"), ("H", "H", "f"), ("n_steps", "n_steps", "i"),
-             ("E", "E", "f"), ("nu", "nu", "f"), ("Gc", "Gc", "f"),
-             ("k_ell", "k_ell", "f"), ("beta", "beta", "f"),
-             ("load_max_factor", "load_max_factor", "f"),
-             ("t_end", "t_end", "f"), ("dT_factor", "dT_factor", "f"),
-             ("tau_min", "tau_min", "f"), ("tau_max", "tau_max", "f")],
-    "solver": [("method", "method", "s"), ("omega", "omega", "f"),
-               ("outer_atol", "outer_atol", "f"), ("am_rtol", "am_rtol", "f"),
-               ("max_am_iterations", "max_am_iterations", "i"),
-               ("max_newton_iterations", "max_newton_iterations", "i"),
-               ("max_outer_cycles", "max_outer_cycles", "i")],
-    "linear": [("elastic", "elastic", "s"),
-               ("elastic_precond", "elastic_precond", "s"),
-               ("elastic_rtol", "elastic_rtol", "f"),
-               ("coupled", "coupled", "s"),
-               ("fieldsplit_inner", "fieldsplit_inner", "s"),
-               ("fieldsplit_cg_budget", "fieldsplit_cg_budget", "i"),
-               ("fieldsplit_rtol", "fieldsplit_rtol", "f")],
-    "output": [("directory", "directory", "s"),
-               ("snapshot_stride", "snapshot_stride", "i"),
-               ("seed", "seed", "i")],
-}
-
-
 def _read_ini(text: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
@@ -190,94 +202,32 @@ def _read_ini(text: str) -> configparser.ConfigParser:
     return parser
 
 
-def _convert(raw: str, kind: str, section: str, key: str):
-    try:
-        if kind == "f":
-            return float(raw)
-        if kind == "i":
-            return int(raw)
-        return raw.strip()
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
-
-
-def validate_config(cfg: RunConfig) -> None:
-    """Range/choice checks shared by parsing and per-row sweep rebuilds."""
-    if cfg.case not in _CASES:
-        raise ConfigError(f"[case] name must be one of {_CASES}, got {cfg.case!r}")
-    if cfg.method not in _METHODS:
-        raise ConfigError(f"[solver] method must be one of {_METHODS}, got {cfg.method!r}")
-    if not 0.0 < cfg.omega < 2.0:
-        raise ConfigError(
-            f"[solver] omega must lie strictly inside (0, 2), got {cfg.omega!r}")
-    if cfg.method == "am" and cfg.omega != 1.0:
-        raise ConfigError(
-            "[solver] method 'am' is the unrelaxed scheme (omega = 1); "
-            "use method 'oram' to set omega")
-    for key in ("ell", "h", "L", "H", "E", "Gc", "beta", "outer_atol",
-                "am_rtol", "elastic_rtol", "fieldsplit_rtol", "tau_min",
-                "tau_max", "t_end", "load_max_factor", "dT_factor"):
-        if getattr(cfg, key) <= 0.0:
-            raise ConfigError(f"{key} must be positive, got {getattr(cfg, key)!r}")
-    if not -1.0 < cfg.nu < 0.5:
-        raise ConfigError(f"[case] nu must lie in (-1, 0.5), got {cfg.nu!r}")
-    if cfg.k_ell < 0.0:
-        raise ConfigError(f"[case] k_ell must be nonnegative, got {cfg.k_ell!r}")
-    if cfg.tau_min >= cfg.tau_max:
-        raise ConfigError("[case] tau_min must be smaller than tau_max")
-    for key in ("n_steps", "max_am_iterations", "max_newton_iterations",
-                "max_outer_cycles", "fieldsplit_cg_budget"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)!r}")
-    if cfg.snapshot_stride < 0:
-        raise ConfigError(f"snapshot_stride must be nonnegative, got {cfg.snapshot_stride!r}")
-    if cfg.elastic not in ("direct", "cg"):
-        raise ConfigError(f"[linear] elastic must be direct or cg, got {cfg.elastic!r}")
-    if cfg.elastic_precond not in ("jacobi", "ssor", "chebyshev"):
-        raise ConfigError(
-            f"[linear] elastic_precond must be jacobi, ssor or chebyshev, "
-            f"got {cfg.elastic_precond!r}")
-    if cfg.coupled not in ("direct", "fieldsplit"):
-        raise ConfigError(f"[linear] coupled must be direct or fieldsplit, got {cfg.coupled!r}")
-    if cfg.fieldsplit_inner not in ("direct", "cg"):
-        raise ConfigError(
-            f"[linear] fieldsplit_inner must be direct or cg, got {cfg.fieldsplit_inner!r}")
-
-
 def _parse_sections(parser: configparser.ConfigParser,
                     extra_sections: tuple = ()) -> RunConfig:
     unknown_sections = [s for s in parser.sections()
-                        if s not in _SCHEMA and s not in extra_sections]
+                        if s not in _SECTIONS and s not in extra_sections]
     if unknown_sections:
         raise ConfigError(f"unknown config sections: {', '.join(unknown_sections)}")
 
     values = {}
-    for section, entries in _SCHEMA.items():
+    for section, fields in _SECTIONS.items():
         if not parser.has_section(section):
             continue
-        known = {key for key, _, _ in entries}
-        unknown = [k for k in parser[section] if k not in known]
+        kinds = {f.name: f.type for f in fields}
+        unknown = [k for k in parser[section] if k not in kinds]
         if unknown:
             raise ConfigError(
                 f"unknown keys in [{section}]: {', '.join(sorted(unknown))}")
-        for key, attr, kind in entries:
-            if parser.has_option(section, key):
-                values[attr] = _convert(parser.get(section, key), kind, section, key)
+        for key, raw in parser[section].items():
+            try:
+                values[key] = _PARSE[kinds[key]](raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
 
-    case = values.get("case", "traction")
-    if case not in _CASES:
-        raise ConfigError(f"[case] name must be one of {_CASES}, got {case!r}")
     # case-dependent defaults, then the generic mesh-size rule h = ell/5
-    for attr, default in _CASE_DEFAULTS[case].items():
-        values.setdefault(attr, default)
-    if "ell" not in values and case == "thermal_shock":
-        values["ell"] = 1.0
-    values.setdefault("ell", 0.1)
-    values.setdefault("h", values["ell"] / 5.0)
-
-    cfg = RunConfig(**values)
-    validate_config(cfg)
-    return cfg
+    values = {**_CASE_DEFAULTS.get(values.get("name", RunConfig.name), {}), **values}
+    values.setdefault("h", values.get("ell", RunConfig.ell) / 5.0)
+    return configure(RunConfig(), **values)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -314,10 +264,10 @@ def _fmt(value) -> str:
 def echo_config(cfg: RunConfig) -> str:
     """Canonical INI text of a config; parse(echo(cfg)) == cfg."""
     lines = []
-    for section, entries in _SCHEMA.items():
+    for section, fields in _SECTIONS.items():
+        owner = cfg.solver if fields[0].name in _SOLVER_KEYS else cfg
         lines.append(f"[{section}]")
-        for key, attr, _ in entries:
-            lines.append(f"{key} = {_fmt(getattr(cfg, attr))}")
+        lines.extend(f"{f.name} = {_fmt(getattr(owner, f.name))}" for f in fields)
         lines.append("")
     return "\n".join(lines)
 
@@ -330,35 +280,13 @@ def build_material(cfg: RunConfig) -> Material:
                     k_ell=cfg.k_ell, beta=cfg.beta)
 
 
-_METHOD_MAP = {"am": "am", "oram": "am", "oram_n": "oram_newton",
-               "newton_only": "newton_only"}
-
-
-def build_solver_config(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(
-        method=_METHOD_MAP[cfg.method],
-        omega=cfg.omega,
-        outer_atol=cfg.outer_atol,
-        am_rtol=cfg.am_rtol,
-        max_am_iterations=cfg.max_am_iterations,
-        max_newton_iterations=cfg.max_newton_iterations,
-        max_outer_cycles=cfg.max_outer_cycles,
-        elastic_solver=cfg.elastic,
-        elastic_rtol=cfg.elastic_rtol,
-        elastic_precond=cfg.elastic_precond,
-        coupled_solver=cfg.coupled,
-        fieldsplit_inner=cfg.fieldsplit_inner,
-        fieldsplit_cg_budget=cfg.fieldsplit_cg_budget,
-        fieldsplit_rtol=cfg.fieldsplit_rtol)
-
-
 def build_setup(cfg: RunConfig) -> ProblemSetup:
     material = build_material(cfg)
-    if cfg.case == "traction":
+    if cfg.name == "traction":
         return setup_traction(material, L=cfg.L, H=cfg.H, h=cfg.h,
                               n_steps=cfg.n_steps,
                               load_max_factor=cfg.load_max_factor)
-    if cfg.case == "surfing":
+    if cfg.name == "surfing":
         return setup_surfing(material, L=cfg.L, H=cfg.H, h=cfg.h,
                              n_steps=cfg.n_steps, t_end=cfg.t_end)
     return setup_thermal_shock(material, L=cfg.L, H=cfg.H, h=cfg.h,
@@ -447,49 +375,20 @@ def write_provenance(path: Path, cfg: RunConfig, setup: ProblemSetup) -> None:
 
 
 def _execute(cfg: RunConfig):
-    """Build and run a config.  Returns (setup, records, log_rows, error)."""
+    """Run a config and write its artifacts.  Returns (records, error)."""
     setup = build_setup(cfg)
-    solver_cfg = build_solver_config(cfg)
-
     log_rows: list = []
-    step_counter = {"step": -1}
-    inner_apply = setup.apply_load
 
-    def apply_hook(problem, state, t):
-        step_counter["step"] += 1
-        inner_apply(problem, state, t)
-
-    def log_cb(rec: dict) -> None:
-        log_rows.append({"step": step_counter["step"], **rec})
-
-    setup.apply_load = apply_hook
-    solver_cfg.log_callback = log_cb
+    def log(step: int, row: dict) -> None:
+        log_rows.append({"step": step, **row})
 
     error: Optional[StepFailureError] = None
     try:
-        records = run_quasistatic(setup, solver_cfg,
-                                  snapshot_stride=cfg.snapshot_stride)
+        records = run_quasistatic(setup, cfg.solver, snapshot_stride=cfg.snapshot_stride,
+                                  log=log)
     except StepFailureError as exc:
         records = exc.records
         error = exc
-    return setup, records, log_rows, error
-
-
-def run(cfg: RunConfig, output_dir: Optional[str] = None,
-        snapshot_stride: Optional[int] = None) -> int:
-    """Execute a run and write its artifacts.
-
-    Returns 0 on full convergence, 3 when the solver failed at some step
-    (partial outputs are still written).  Identical configs produce bitwise
-    identical energies/iterations/VTK files.
-    """
-    if output_dir is not None:
-        cfg = dataclasses.replace(cfg, directory=output_dir)
-    if snapshot_stride is not None:
-        cfg = dataclasses.replace(cfg, snapshot_stride=snapshot_stride)
-    validate_config(cfg)
-
-    setup, records, log_rows, error = _execute(cfg)
     out = Path(cfg.directory)
     write_provenance(out / "provenance.txt", cfg, setup)
     write_energies_csv(out / "energies.csv", records)
@@ -500,51 +399,59 @@ def run(cfg: RunConfig, output_dir: Optional[str] = None,
                       rec.alpha, rec.u, title=f"{setup.name} step {rec.step}")
     if error is not None:
         _write_text(out / "FAILED.txt", f"{error}\n")
+    return records, error
+
+
+def run(cfg: RunConfig, output_dir: Optional[str] = None,
+        snapshot_stride: Optional[int] = None) -> int:
+    """Execute a run and write its artifacts.
+
+    Returns 0 on full convergence, 3 when the solver failed at some step
+    (partial outputs and ``FAILED.txt`` are still written).  Identical
+    configs produce bitwise identical energies/iterations/VTK files.
+    """
+    overrides = {"directory": output_dir, "snapshot_stride": snapshot_stride}
+    cfg = configure(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    _, error = _execute(cfg)
+    if error is not None:
         print(f"solver failure: {error}", file=sys.stderr)
         return 3
     return 0
 
 
 SUMMARY_COLUMNS = ("parameter", "value", "total_am_iters", "total_newton_iters",
-                   "avg_krylov_per_newton", "wall_time_s", "reduction", "status")
+                   "avg_krylov_per_newton", "wall_time_s", "reduction", "status",
+                   "error")
 
 
 def _sweep_row(args) -> dict:
-    """Worker for one sweep row (module-level so process pools can pickle it)."""
+    """Worker for one sweep row (module-level so process pools can pickle it).
+
+    A failed row does not abort the sweep: its ``error`` names the exception
+    or the failed step, and is echoed to stderr.
+    """
     cfg, parameter, value = args
     row = {"parameter": parameter, "value": value, "total_am_iters": 0,
            "total_newton_iters": 0, "avg_krylov_per_newton": 0.0,
-           "wall_time_s": 0.0, "reduction": 0.0, "status": "failed"}
+           "wall_time_s": 0.0, "reduction": 0.0, "status": "failed", "error": ""}
     start = time.perf_counter()
     try:
-        row_cfg = dataclasses.replace(cfg, **{parameter: value})
-        row_cfg = dataclasses.replace(
-            row_cfg, directory=str(Path(cfg.directory) / f"{parameter}_{value:g}"))
-        validate_config(row_cfg)
-        status = run(row_cfg)
-        records_csv = Path(row_cfg.directory) / "energies.csv"
-        am, newton, krylov = _totals_from_csv(records_csv)
+        row_cfg = configure(cfg, **{parameter: value}, directory=str(
+            Path(cfg.directory) / f"{parameter}_{value:g}"))
+        records, error = _execute(row_cfg)
+        am = sum(r.report.am_iterations for r in records)
+        newton = sum(r.report.newton_iterations for r in records)
+        krylov = sum(r.report.total_krylov_iterations for r in records)
         row.update(total_am_iters=am, total_newton_iters=newton,
                    avg_krylov_per_newton=(krylov / newton if newton else 0.0),
-                   status="ok" if status == 0 else "failed")
-    except Exception:
-        # a failed row must not abort the sweep; it is reported as 'failed'
-        pass
+                   status="ok" if error is None else "failed",
+                   error="" if error is None else str(error))
+    except Exception as exc:  # noqa: BLE001 - reported in the row
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    if row["error"]:
+        print(f"sweep {parameter} = {value:g}: {row['error']}", file=sys.stderr)
     row["wall_time_s"] = time.perf_counter() - start
     return row
-
-
-def _totals_from_csv(path: Path):
-    am = newton = krylov = 0
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        idx = {name: i for i, name in enumerate(header)}
-        for line in fh:
-            parts = line.strip().split(",")
-            am += int(parts[idx["am_iters"]])
-            newton += int(parts[idx["newton_iters"]])
-            krylov += int(parts[idx["krylov_iters"]])
-    return am, newton, krylov
 
 
 def sweep(spec: SweepSpec, threads: int = 1,
@@ -554,7 +461,7 @@ def sweep(spec: SweepSpec, threads: int = 1,
     The reduction column compares total AM iterations against the reference
     row (the omega = 1 row when sweeping omega, otherwise the first row);
     positive values mean fewer iterations.  Failed rows are recorded with
-    status 'failed' and do not abort the sweep.
+    status 'failed' and their error, and do not abort the sweep.
     """
     base = spec.base
     if output_dir is not None:
@@ -581,10 +488,10 @@ def sweep(spec: SweepSpec, threads: int = 1,
         else:
             row["reduction"] = 0.0
 
-    lines = [",".join(SUMMARY_COLUMNS)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(SUMMARY_COLUMNS)
     for row in rows:
-        lines.append(",".join(
-            _fmt(row[c]) if isinstance(row[c], float) else str(row[c])
-            for c in SUMMARY_COLUMNS))
-    _write_text(Path(base.directory) / "summary.csv", "\n".join(lines) + "\n")
+        writer.writerow(_fmt(row[c]) for c in SUMMARY_COLUMNS)
+    _write_text(Path(base.directory) / "summary.csv", out.getvalue())
     return 0

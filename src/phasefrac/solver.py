@@ -22,6 +22,7 @@ through the Fischer-Burmeister function against the bounds
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -31,55 +32,65 @@ from .fem import (Discretization, EnergyBreakdown, State, apply_dirichlet,
                   assemble_energy, assemble_Kaa, assemble_Kua, assemble_Kuu,
                   assemble_load_u, assemble_residual_alpha,
                   assemble_residual_u)
-from .linalg import (BlockJacobian, FieldSplitPreconditioner,
+from .linalg import (STATIONARY, BlockJacobian, FieldSplitPreconditioner,
                      LinearSolverError, cg_solve, direct_factorize,
                      extract_submatrix, inner_cg, inner_direct, minres_solve,
                      stationary_precond)
 from .vi import (ActiveSetReport, MCProblem, VIConfig, classify_active,
                  fb_composite, rsls_solve)
 
-_METHODS = ("am", "oram_newton", "newton_only")
-_ELASTIC = ("direct", "cg")
-_COUPLED = ("direct", "fieldsplit")
-_INNER = ("direct", "cg")
+#: the choice-valued fields of SolverConfig and their admissible values
+CHOICES = {"method": ("am", "oram_newton", "newton_only"), "elastic": ("direct", "cg"),
+           "elastic_precond": tuple(STATIONARY),
+           "coupled": ("direct", "fieldsplit"), "fieldsplit_inner": ("direct", "cg")}
+#: damage subproblem tolerance, as a fraction of ``outer_atol``
+DAMAGE_ATOL_FACTOR = 0.1
+MAX_VI_ITERATIONS = 200
+#: largest estimated remaining damage travel at a Newton hand-off
+NEWTON_DALPHA = 1e-6
+
+Log = Callable[[dict], None]   # receives one row per nonlinear iteration
+
+#: INI section of the linear-solver fields (the rest are read from [solver])
+_LINEAR = {"section": "linear"}
 
 
 @dataclass
 class SolverConfig:
-    """Knobs for the load-step solvers; invalid choices raise at construction."""
+    """Knobs for the load-step solvers; invalid values raise at construction.
 
-    method: str = "am"               # "am" (covers over-relaxation) or "oram_newton"
+    ``method = "am"`` is alternate minimization, over-relaxed (ORAM) when
+    ``omega != 1``; ``"oram_newton"`` composes it with coupled Newton.
+    """
+
+    method: str = "am"
     omega: float = 1.0               # relaxation weight, required to lie in (0, 2)
     outer_atol: float = 1e-7         # absolute l2 tolerance on the optimality residual
     am_rtol: float = 1e-1            # relative target of the AM phase inside oram_newton
     max_am_iterations: int = 1000
     max_newton_iterations: int = 30
     max_outer_cycles: int = 20
-    elastic_solver: str = "direct"   # displacement half-step: "direct" or "cg"
-    elastic_rtol: float = 1e-10
-    elastic_precond: str = "ssor"
-    coupled_solver: str = "fieldsplit"   # Newton inactive block: "direct" or "fieldsplit"
-    fieldsplit_inner: str = "direct"     # block inverses: "direct" or "cg"
-    fieldsplit_cg_budget: int = 5
-    fieldsplit_rtol: float = 1e-6
-    damage_atol_factor: float = 0.1  # damage subproblem tol = factor * outer_atol
-    max_vi_iterations: int = 200
-    newton_dalpha: float = 1e-6      # max estimated remaining damage travel at Newton handoff
-    log_callback: Optional[Callable[[dict], None]] = None
+    elastic: str = field(default="direct", metadata=_LINEAR)   # displacement half-step
+    elastic_precond: str = field(default="ssor", metadata=_LINEAR)
+    elastic_rtol: float = field(default=1e-10, metadata=_LINEAR)
+    coupled: str = field(default="fieldsplit", metadata=_LINEAR)   # Newton inactive block
+    fieldsplit_inner: str = field(default="direct", metadata=_LINEAR)  # block inverses
+    fieldsplit_cg_budget: int = field(default=5, metadata=_LINEAR)
+    fieldsplit_rtol: float = field(default=1e-6, metadata=_LINEAR)
 
     def __post_init__(self):
+        for name, choices in CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if not 0.0 < self.omega < 2.0:
-            raise ValueError(f"omega must lie strictly inside (0, 2), got {self.omega}")
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}; choose from {_METHODS}")
-        if self.elastic_solver not in _ELASTIC:
-            raise ValueError(f"unknown elastic_solver {self.elastic_solver!r}")
-        if self.coupled_solver not in _COUPLED:
-            raise ValueError(f"unknown coupled_solver {self.coupled_solver!r}")
-        if self.fieldsplit_inner not in _INNER:
-            raise ValueError(f"unknown fieldsplit_inner {self.fieldsplit_inner!r}")
-        if self.outer_atol <= 0.0 or self.am_rtol <= 0.0:
-            raise ValueError("tolerances must be positive")
+            raise ValueError(f"omega must lie strictly inside (0, 2), got {self.omega!r}")
+        for name in ("outer_atol", "am_rtol", "elastic_rtol", "fieldsplit_rtol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        for name in ("max_am_iterations", "max_newton_iterations", "max_outer_cycles",
+                     "fieldsplit_cg_budget"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -132,7 +143,7 @@ def elastic_step(state: State, problem: Discretization, config: SolverConfig):
     f = assemble_load_u(state, problem)
     if problem.bc is not None:
         K, f = apply_dirichlet(K, f, problem.bc, problem.dirichlet_elimination("uu"))
-    if config.elastic_solver == "direct":
+    if config.elastic == "direct":
         return direct_factorize(K).solve(f), 0
     precond = stationary_precond(K, config.elastic_precond)
     u, rep = cg_solve(K, f, precond=precond, rtol=config.elastic_rtol)
@@ -155,8 +166,8 @@ def damage_step(state: State, problem: Discretization, config: SolverConfig):
                     jacobian=lambda a: Kaa,
                     lower=state.alpha_lb,
                     upper=np.ones_like(state.alpha))
-    vic = VIConfig(abs_tol=config.damage_atol_factor * config.outer_atol,
-                   max_iterations=config.max_vi_iterations)
+    vic = VIConfig(abs_tol=DAMAGE_ATOL_FACTOR * config.outer_atol,
+                   max_iterations=MAX_VI_ITERATIONS)
     return rsls_solve(mcp, state.alpha, vic)
 
 
@@ -164,7 +175,8 @@ def damage_step(state: State, problem: Discretization, config: SolverConfig):
 
 
 def am_solve(state: State, problem: Discretization, config: SolverConfig,
-             rtol: Optional[float] = None, cycle: int = 0) -> NonlinearReport:
+             rtol: Optional[float] = None, cycle: int = 0,
+             log: Optional[Log] = None) -> NonlinearReport:
     """Alternate minimization with over-relaxation; mutates ``state`` in place.
 
     Stops when the optimality norm drops below ``outer_atol``.  When ``rtol``
@@ -172,11 +184,13 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
     once the norm falls below ``rtol`` times its entry value *and* the damage
     field has settled: the remaining travel of the damage iterates, estimated
     from the last two sweep increments assuming linear contraction as
-    ``d_k^2 / (d_{k-1} - d_k)``, must not exceed ``newton_dalpha``.  While a
+    ``d_k^2 / (d_{k-1} - d_k)``, must not exceed ``NEWTON_DALPHA``.  While a
     crack front is still advancing the sweeps contract slowly and the estimate
     stays large, preventing a premature hand-off after which Newton would
     converge to a different stationary point than the one alternate
-    minimization is descending to.  Always performs at least one iteration.
+    minimization is descending to.  Always performs at least one iteration,
+    and stops unconverged as soon as the norm is not finite.  ``log``, if
+    given, receives one row per sweep.
     """
     _snap_bc(state, problem)
     phi0 = residual_norm(state, problem)
@@ -219,8 +233,8 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
         energy = assemble_energy(state, problem)
         report.energy_history.append(energy)
         report.residual_history.append(res)
-        if config.log_callback is not None:
-            config.log_callback({
+        if log is not None:
+            log({
                 "phase": "am", "cycle": cycle, "iteration": report.am_iterations,
                 "residual": res, "omega_bar": omega_bar,
                 "elastic": energy.elastic, "dissipated": energy.dissipated,
@@ -229,10 +243,12 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
         if rtol is None or d_alpha == 0.0:
             settled = True
         elif d_prev is not None and d_alpha < d_prev:
-            settled = d_alpha * d_alpha / (d_prev - d_alpha) <= config.newton_dalpha
+            settled = d_alpha * d_alpha / (d_prev - d_alpha) <= NEWTON_DALPHA
         else:
             settled = False
         d_prev = d_alpha
+        if not math.isfinite(res):
+            break
         if res <= config.outer_atol or (res <= target and settled):
             report.converged = True
             break
@@ -244,18 +260,25 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
 # -- coupled Newton ----------------------------------------------------------------
 
 
+def _inactive_blocks(J: BlockJacobian, inactive: np.ndarray):
+    """Rows and columns ``inactive`` (stacked numbering) of ``J``.
+
+    Returns (BlockJacobian, inactive_u_indices, inactive_alpha_indices).
+    """
+    iu = inactive[inactive < J.nu]
+    ia = inactive[inactive >= J.nu] - J.nu
+    return (BlockJacobian(extract_submatrix(J.A, iu, iu), extract_submatrix(J.B, iu, ia),
+                          extract_submatrix(J.C, ia, ia)), iu, ia)
+
+
 def _make_coupled_linear_solver(config: SolverConfig):
     """Inner solver for the inactive block of the stacked Newton system."""
 
     def solve(J: BlockJacobian, inactive: np.ndarray, rhs: np.ndarray):
-        if config.coupled_solver == "direct":
+        if config.coupled == "direct":
             sub = extract_submatrix(J.to_csr(), inactive, inactive)
             return direct_factorize(sub, spd=False).solve(rhs), None
-        iu = inactive[inactive < J.nu]
-        ia = inactive[inactive >= J.nu] - J.nu
-        red = BlockJacobian(extract_submatrix(J.A, iu, iu),
-                            extract_submatrix(J.B, iu, ia),
-                            extract_submatrix(J.C, ia, ia))
+        red, _, _ = _inactive_blocks(J, inactive)
         if config.fieldsplit_inner == "direct":
             inner_a, inner_c = inner_direct(red.A), inner_direct(red.C)
         else:
@@ -301,7 +324,8 @@ def coupled_mcp(state: State, problem: Discretization) -> MCProblem:
 
 
 def coupled_newton_solve(state: State, problem: Discretization,
-                         config: SolverConfig, cycle: int = 0):
+                         config: SolverConfig, cycle: int = 0,
+                         log: Optional[Log] = None):
     """Active-set Newton on the stacked system from the current state.
 
     Does not mutate ``state``; returns (new_state, ActiveSetReport).  The
@@ -321,9 +345,9 @@ def coupled_newton_solve(state: State, problem: Discretization,
     out = state.copy()
     out.u = x[:problem.n_udofs]
     out.alpha = x[problem.n_udofs:]
-    if config.log_callback is not None:
+    if log is not None:
         for k, r in enumerate(rep.residual_history):
-            config.log_callback({"phase": "newton", "cycle": cycle, "iteration": k,
+            log({"phase": "newton", "cycle": cycle, "iteration": k,
                                  "residual": r, "omega_bar": np.nan,
                                  "elastic": np.nan, "dissipated": np.nan,
                                  "total": np.nan})
@@ -331,7 +355,7 @@ def coupled_newton_solve(state: State, problem: Discretization,
 
 
 def oram_n_solve(state: State, problem: Discretization,
-                 config: SolverConfig) -> NonlinearReport:
+                 config: SolverConfig, log: Optional[Log] = None) -> NonlinearReport:
     """Over-relaxed alternate minimization composed with coupled Newton.
 
     Each outer cycle measures the optimality norm, runs alternate
@@ -355,7 +379,7 @@ def oram_n_solve(state: State, problem: Discretization,
             report.converged = True
             break
 
-        am_rep = am_solve(state, problem, config, rtol=config.am_rtol, cycle=cycle)
+        am_rep = am_solve(state, problem, config, rtol=config.am_rtol, cycle=cycle, log=log)
         report.am_iterations += am_rep.am_iterations
         report.total_krylov_iterations += am_rep.total_krylov_iterations
         report.omega_bar_min = min(report.omega_bar_min, am_rep.omega_bar_min)
@@ -365,9 +389,11 @@ def oram_n_solve(state: State, problem: Discretization,
         if am_rep.final_residual_norm <= config.outer_atol:
             report.converged = True
             break
+        if not math.isfinite(am_rep.final_residual_norm):
+            break
 
         e_handoff = am_rep.energy_history[-1].total
-        newt_state, nrep = coupled_newton_solve(state, problem, config, cycle=cycle)
+        newt_state, nrep = coupled_newton_solve(state, problem, config, cycle=cycle, log=log)
         report.newton_attempts += 1
         report.newton_iterations += nrep.iterations
         report.total_krylov_iterations += nrep.total_krylov_iterations
@@ -387,11 +413,11 @@ def oram_n_solve(state: State, problem: Discretization,
     return report
 
 
-def solve_load_step(state: State, problem: Discretization,
-                    config: SolverConfig) -> NonlinearReport:
+def solve_load_step(state: State, problem: Discretization, config: SolverConfig,
+                    log: Optional[Log] = None) -> NonlinearReport:
     """Dispatch one load step to the configured method; mutates ``state``."""
     if config.method == "oram_newton":
-        return oram_n_solve(state, problem, config)
+        return oram_n_solve(state, problem, config, log=log)
     if config.method == "newton_only":
         # Lift the new boundary data onto the iterate with one linear elastic
         # presolve at the current damage.  The boundary rows must be exactly
@@ -402,7 +428,7 @@ def solve_load_step(state: State, problem: Discretization,
         # boundary values instead creates a strain spike whose damage driving
         # force strands the merit line search.
         state.u, presolve_kit = elastic_step(state, problem, config)
-        new_state, nrep = coupled_newton_solve(state, problem, config)
+        new_state, nrep = coupled_newton_solve(state, problem, config, log=log)
         state.u, state.alpha = new_state.u, new_state.alpha
         return NonlinearReport(
             converged=nrep.converged,
@@ -414,7 +440,7 @@ def solve_load_step(state: State, problem: Discretization,
             energy_history=[assemble_energy(state, problem)],
             residual_history=list(nrep.residual_history),
             newton_residual_histories=[list(nrep.residual_history)])
-    return am_solve(state, problem, config)
+    return am_solve(state, problem, config, log=log)
 
 
 # -- reduced block system at a solved state ----------------------------------------
@@ -428,22 +454,9 @@ def inactive_block_jacobian(state: State, problem: Discretization,
     to study Krylov solvers on the linear systems the coupled Newton method
     actually faces.
     """
-    nu = problem.n_udofs
-    ru = assemble_residual_u(state, problem, apply_bc=True)
-    ra = assemble_residual_alpha(state, problem)
-    F = np.concatenate([ru, ra])
+    mcp = coupled_mcp(state, problem)
     x = np.concatenate([state.u, state.alpha])
-    lower = np.concatenate([np.full(nu, -np.inf), state.alpha_lb])
-    upper = np.concatenate([np.full(nu, np.inf), np.ones(problem.n_vertices)])
     if zeta is None:
         zeta = 1e-10 * (1.0 + float(np.max(np.abs(x))))
-    part = classify_active(x, F, lower, upper, zeta)
-    iu = part.inactive[part.inactive < nu]
-    ia = part.inactive[part.inactive >= nu] - nu
-    A = assemble_Kuu(state, problem, apply_bc=True)
-    B = assemble_Kua(state, problem, apply_bc=True)
-    C = assemble_Kaa(state, problem)
-    red = BlockJacobian(extract_submatrix(A, iu, iu),
-                        extract_submatrix(B, iu, ia),
-                        extract_submatrix(C, ia, ia))
-    return red, iu, ia
+    part = classify_active(x, mcp.residual(x), mcp.lower, mcp.upper, zeta)
+    return _inactive_blocks(mcp.jacobian(x), part.inactive)

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from phasefrac.fem import Discretization, State
 from phasefrac.mesh import rect_mesh
-from phasefrac.model import C_W, Material
+from phasefrac.model import C_W, Material, degradation
 
 
 def fd_gradient(f, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
@@ -101,7 +101,7 @@ def coo_hessian_blocks(state: State, problem: Discretization):
     for e in range(problem.mesh.n_triangles):
         ud, ad = problem.udofs[e], problem.adofs[e]
         ab = np.array([state.alpha[ad].mean()])
-        a, ap, app = (float(v[0]) for v in problem.damage.a_eval(ab, m.k_ell))
+        a, ap, app = (float(v[0]) for v in degradation(ab, m.k_ell))
         area, Be, Ge = problem.area[e], problem.B[e], problem.G[e]
         eps = Be @ state.u[ud] - problem.eps0[e]
         sig = problem.D @ eps

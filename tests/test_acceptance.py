@@ -320,7 +320,7 @@ def test_criterion_08_relaxation_weight_rejected_at_parse_time(capsys):
     """Relaxation weights outside (0, 2) never reach a solver: the config
     parser rejects them."""
     template = ("[case]\nname = traction\nell = 0.1\n"
-                "[solver]\nmethod = oram\nomega = {w}\n")
+                "[solver]\nmethod = am\nomega = {w}\n")
     rejected = []
     for w in (0.0, 2.0, 2.5):
         try:

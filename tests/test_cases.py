@@ -3,8 +3,9 @@
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import erfc
 
-from phasefrac.cases import (StepFailureError, crack_band_count, erfc,
+from phasefrac.cases import (StepFailureError, crack_band_count,
                              run_quasistatic, setup_surfing,
                              setup_thermal_shock, setup_traction,
                              surfing_displacement, thermal_strain)

@@ -1,7 +1,5 @@
 """Krylov solvers, preconditioners, block operators, sparse utilities."""
 
-import io
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,10 +10,9 @@ from phasefrac.cases import setup_surfing
 from phasefrac.fem import State, assemble_Kuu
 from phasefrac.linalg import (BlockJacobian, FieldSplitPreconditioner,
                               SingularOperatorError, _find_zero_pivot,
-                              cg_solve, direct_factorize,
-                              direct_solve, dump_matrix, extract_submatrix,
-                              fieldsplit_apply, inner_cg, inner_direct,
-                              minres_solve, stationary_precond)
+                              cg_solve, direct_factorize, extract_submatrix,
+                              inner_cg, inner_direct, minres_solve,
+                              stationary_precond)
 
 
 def laplacian_1d(n: int) -> sp.csr_matrix:
@@ -119,11 +116,11 @@ class TestDirect:
     def test_identity(self):
         f = direct_factorize(sp.eye(3, format="csr"))
         b = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(direct_solve(f, b), b, rtol=1e-14)
+        assert np.allclose(f.solve(b), b, rtol=1e-14)
 
     def test_tridiagonal_closed_form(self):
         n = 5
-        x = direct_solve(direct_factorize(laplacian_1d(n)), np.ones(n))
+        x = direct_factorize(laplacian_1d(n)).solve(np.ones(n))
         i = np.arange(1, n + 1)
         assert np.allclose(x, i * (n + 1 - i) / 2.0, rtol=1e-12)
 
@@ -136,7 +133,7 @@ class TestDirect:
         rng = np.random.default_rng(5)
         A = sp.csr_matrix(random_spd(rng, 30))
         b = rng.standard_normal(30)
-        x = direct_solve(direct_factorize(A), b)
+        x = direct_factorize(A).solve(b)
         assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
 
     def test_spd_path_sparse_residual(self):
@@ -233,7 +230,7 @@ class TestFieldSplit:
         J = BlockJacobian(sp.csr_matrix(A), sp.csr_matrix(0.0 * B), sp.csr_matrix(C))
         P = FieldSplitPreconditioner(J, inner_direct(J.A), inner_direct(J.C))
         r = rng.standard_normal(10)
-        y = fieldsplit_apply(P, r)
+        y = P.matvec(r)
         assert np.allclose(y[:6], np.linalg.solve(A, r[:6]), rtol=1e-10)
         assert np.allclose(y[6:], np.linalg.solve(C, r[6:]), rtol=1e-10)
 
@@ -246,7 +243,7 @@ class TestFieldSplit:
         Pinv = np.block([[Ai + Ai @ B @ Ci @ B.T @ Ai, -Ai @ B @ Ci],
                          [-Ci @ B.T @ Ai, Ci]])
         r = rng.standard_normal(10)
-        assert np.allclose(fieldsplit_apply(P, r), Pinv @ r, atol=1e-10)
+        assert np.allclose(P.matvec(r), Pinv @ r, atol=1e-10)
 
     def test_symmetric_action(self):
         rng = np.random.default_rng(12)
@@ -254,8 +251,8 @@ class TestFieldSplit:
         P = FieldSplitPreconditioner(J, inner_direct(J.A), inner_direct(J.C))
         r = rng.standard_normal(10)
         s = rng.standard_normal(10)
-        assert r @ fieldsplit_apply(P, s) == pytest.approx(
-            s @ fieldsplit_apply(P, r), abs=1e-10)
+        assert r @ P.matvec(s) == pytest.approx(
+            s @ P.matvec(r), abs=1e-10)
 
     def test_preconditions_minres(self):
         rng = np.random.default_rng(13)
@@ -322,13 +319,3 @@ class TestBlockJacobian:
         assert J.shape == (8, 8)
         assert J.nu == 5 and J.na == 3
 
-
-class TestMatrixDump:
-    def test_round_trip(self, tmp_path):
-        import scipy.io
-        rng = np.random.default_rng(17)
-        A = sp.random(7, 7, density=0.3, random_state=18).tocsr()
-        path = tmp_path / "matrix.mtx"
-        dump_matrix(path, A)
-        B = scipy.io.mmread(path).tocsr()
-        assert abs(A - B).max() <= 1e-15

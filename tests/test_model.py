@@ -5,25 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from phasefrac.model import (C_W, DamageModel, Material, critical_shock,
-                             critical_traction, internal_length,
-                             stiffness_tensor)
+from phasefrac.model import (C_W, Material, critical_shock, critical_traction,
+                             degradation, dissipation, internal_length)
 
 
 class TestDamagePair:
-    dm = DamageModel()
-
     @pytest.mark.parametrize("alpha,expected", [
         (0.0, (1.0 + 1e-6, -2.0, 2.0)),
         (1.0, (1e-6, 0.0, 2.0)),
         (0.5, (0.25 + 1e-6, -1.0, 2.0)),
     ])
     def test_degradation_values(self, alpha, expected):
-        a, da, dda = self.dm.a_eval(alpha, k_ell=1e-6)
+        a, da, dda = degradation(alpha, k_ell=1e-6)
         assert np.allclose((a, da, dda), expected, rtol=0, atol=1e-15)
 
     def test_dissipation_values(self):
-        w, dw, ddw = self.dm.w_eval(np.array([0.0, 1.0, 0.3]))
+        w, dw, ddw = dissipation(np.array([0.0, 1.0, 0.3]))
         assert np.array_equal(w, [0.0, 1.0, 0.3])
         assert np.array_equal(dw, [1.0, 1.0, 1.0])
         assert np.array_equal(ddw, [0.0, 0.0, 0.0])
@@ -37,24 +34,24 @@ class TestDamagePair:
         alphas = rng.uniform(0.05, 0.95, 20)
         h = 1e-6
         for al in alphas:
-            _, dap, _ = self.dm.a_eval(al + h)
-            _, dam, _ = self.dm.a_eval(al - h)
-            _, _, dda = self.dm.a_eval(al)
+            _, dap, _ = degradation(al + h)
+            _, dam, _ = degradation(al - h)
+            _, _, dda = degradation(al)
             assert dda == pytest.approx((dap - dam) / (2 * h), abs=1e-6)
-            _, dwp, _ = self.dm.w_eval(al + h)
-            _, dwm, _ = self.dm.w_eval(al - h)
-            _, _, ddw = self.dm.w_eval(al)
+            _, dwp, _ = dissipation(al + h)
+            _, dwm, _ = dissipation(al - h)
+            _, _, ddw = dissipation(al)
             assert ddw == pytest.approx((dwp - dwm) / (2 * h), abs=1e-6)
 
 
 class TestPlaneStress:
     def test_identity_strain_decoupled(self):
         m = Material(E=1.0, nu=0.0)
-        assert np.allclose(stiffness_tensor(m, np.eye(2)), np.eye(2))
+        assert np.allclose(m.stress(np.eye(2)), np.eye(2))
 
     def test_identity_strain_poisson(self):
         m = Material(E=1.0, nu=0.3)
-        sig = stiffness_tensor(m, np.eye(2))
+        sig = m.stress(np.eye(2))
         expected = (1.0 / 0.91) * 1.3  # E/(1-nu^2) * (1 - nu + 2 nu)
         assert np.allclose(sig, expected * np.eye(2), rtol=1e-12)
         assert sig[0, 0] == pytest.approx(1.42857, abs=1e-5)
@@ -63,7 +60,7 @@ class TestPlaneStress:
         m = Material(E=2.3, nu=0.27)
         s = 0.4
         eps = np.array([[0.0, s], [s, 0.0]])
-        sig = stiffness_tensor(m, eps)
+        sig = m.stress(eps)
         assert sig[0, 1] == pytest.approx(2.0 * m.mu * s, rel=1e-12)
         assert sig[0, 0] == pytest.approx(0.0, abs=1e-15)
 
@@ -74,7 +71,7 @@ class TestPlaneStress:
         for _ in range(5):
             e11, e22, e12 = rng.standard_normal(3)
             eps = np.array([[e11, e12], [e12, e22]])
-            sig = stiffness_tensor(m, eps)
+            sig = m.stress(eps)
             voigt = D @ np.array([e11, e22, 2 * e12])
             assert np.allclose([sig[0, 0], sig[1, 1], sig[0, 1]], voigt, rtol=1e-12)
 

@@ -7,10 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
+import phasefrac.solver
+from phasefrac import cli
+from phasefrac.linalg import SingularOperatorError
 from phasefrac.runio import (ConfigError, ENERGY_COLUMNS, ITERATION_COLUMNS,
-                             SUMMARY_COLUMNS, build_setup, echo_config,
-                             parse_config, parse_sweep, run, sweep)
+                             SUMMARY_COLUMNS, RunConfig, build_setup,
+                             echo_config, parse_config, parse_sweep, run, sweep)
+from phasefrac.solver import CHOICES, SolverConfig
 
 TRACTION_SMOKE = """
 [case]
@@ -20,7 +25,7 @@ h = 0.05
 n_steps = 6
 
 [solver]
-method = oram
+method = am
 omega = 1.4
 
 [output]
@@ -37,17 +42,17 @@ def read_csv(path):
 class TestParsing:
     def test_minimal_config_resolves_defaults(self):
         cfg = parse_config("[case]\nname = traction\n")
-        assert cfg.case == "traction"
+        assert cfg.name == "traction"
         assert cfg.ell == 0.1
         assert cfg.h == pytest.approx(cfg.ell / 5.0)
-        assert cfg.method == "am" and cfg.omega == 1.0
+        assert cfg.solver.method == "am" and cfg.solver.omega == 1.0
         assert cfg.directory == "out"
 
     def test_readme_minimal_config_parses(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         minimal = readme.split("```ini\n", 1)[1].split("```", 1)[0]
         cfg = parse_config(minimal)
-        assert cfg.case == "traction" and cfg.ell == 0.1
+        assert cfg.name == "traction" and cfg.ell == 0.1
 
     def test_case_specific_defaults(self):
         th = parse_config("[case]\nname = thermal_shock\n")
@@ -58,17 +63,35 @@ class TestParsing:
 
     def test_echo_round_trip(self):
         cfg = parse_config("[case]\nname = surfing\nell = 0.05\n"
-                           "[solver]\nmethod = oram_n\nomega = 1.6\n")
+                           "[solver]\nmethod = oram_newton\nomega = 1.6\n")
         assert parse_config(echo_config(cfg)) == cfg
 
     @pytest.mark.parametrize("omega", ["0", "2", "2.5", "-0.3"])
     def test_omega_outside_open_interval_rejected(self, omega):
         with pytest.raises(ConfigError, match="omega"):
-            parse_config(f"[solver]\nmethod = oram\nomega = {omega}\n")
+            parse_config(f"[solver]\nmethod = am\nomega = {omega}\n")
 
-    def test_am_with_relaxation_points_to_oram(self):
-        with pytest.raises(ConfigError, match="oram"):
-            parse_config("[solver]\nmethod = am\nomega = 1.3\n")
+    @pytest.mark.parametrize("method", ["oram", "oram_n"])
+    def test_retired_method_names_rejected(self, method):
+        # over-relaxation is method am with omega != 1; the composite is oram_newton
+        with pytest.raises(ConfigError, match="method"):
+            parse_config(f"[solver]\nmethod = {method}\nomega = 1.3\n")
+
+    def test_am_takes_a_relaxation_weight(self):
+        cfg = parse_config("[solver]\nmethod = am\nomega = 1.3\n")
+        assert (cfg.solver.method, cfg.solver.omega) == ("am", 1.3)
+
+    @pytest.mark.parametrize("key,section", [
+        ("E", "case"), ("ell", "case"), ("k_ell", "case"), ("h", "case"),
+        ("nu", "case"), ("tau_max", "case"), ("omega", "solver"),
+        ("outer_atol", "solver"), ("elastic_rtol", "linear")])
+    def test_nan_rejected(self, key, section):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"[{section}]\n{key} = nan\n")
+
+    def test_seed_key_retired(self):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config("[output]\nseed = 0\n")
 
     def test_unknown_key_listed(self):
         with pytest.raises(ConfigError, match="wavelength"):
@@ -94,6 +117,70 @@ class TestParsing:
         assert v[:, 0].max() == pytest.approx(2.0)
         assert v[:, 1].max() == pytest.approx(0.5)
         assert setup.schedule.size == 4
+
+
+# (section, key, default text) of every INI key, read off the echoed defaults
+INI_KEYS = []
+for _block in echo_config(RunConfig()).split("[")[1:]:
+    _section, *_lines = _block.strip().splitlines()
+    INI_KEYS += [(_section[:-1], *line.split(" = ")) for line in _lines]
+NUMERIC_KEYS = [(s, k) for s, k, v in INI_KEYS if v[0].isdigit()]
+CHOICE_KEYS = {"name": ("traction", "surfing", "thermal_shock"), **CHOICES}
+
+positive = st.floats(min_value=1e-6, max_value=1e6)
+counts = st.integers(min_value=1, max_value=10**6)
+
+
+@st.composite
+def run_configs(draw):
+    tau_min, tau_max = sorted(draw(st.lists(positive, min_size=2, max_size=2, unique=True)))
+    solver = SolverConfig(
+        **{key: draw(st.sampled_from(choices)) for key, choices in CHOICES.items()},
+        omega=draw(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True)),
+        outer_atol=draw(positive), am_rtol=draw(positive),
+        elastic_rtol=draw(positive), fieldsplit_rtol=draw(positive),
+        max_am_iterations=draw(counts), max_newton_iterations=draw(counts),
+        max_outer_cycles=draw(counts), fieldsplit_cg_budget=draw(counts))
+    return RunConfig(
+        name=draw(st.sampled_from(CHOICE_KEYS["name"])),
+        **{key: draw(positive) for key in ("ell", "h", "L", "H", "E", "Gc", "beta",
+                                           "load_max_factor", "t_end", "dT_factor")},
+        n_steps=draw(counts), tau_min=tau_min, tau_max=tau_max,
+        nu=draw(st.floats(-1.0, 0.5, exclude_min=True, exclude_max=True)),
+        k_ell=draw(st.floats(0.0, 1.0)), solver=solver,
+        directory=draw(st.text("abcXYZ019_-./", min_size=1, max_size=12)),
+        snapshot_stride=draw(st.integers(0, 10**6)))
+
+
+class TestConfigProperties:
+    @given(run_configs())
+    def test_echo_round_trip(self, cfg):
+        assert parse_config(echo_config(cfg)) == cfg
+
+    @given(st.sampled_from(NUMERIC_KEYS), st.sampled_from(["nan", "inf", "-inf", "NaN"]))
+    def test_nonfinite_values_rejected(self, where, raw):
+        section, key = where
+        with pytest.raises(ConfigError):
+            parse_config(f"[{section}]\n{key} = {raw}\n")
+
+    @given(st.sampled_from(sorted(CHOICE_KEYS)),
+           st.one_of(st.sampled_from(["oram", "oram_n", "lu", "amg"]),
+                     st.text("abcdefghijklmnopqrstuvwxyz_", max_size=12)))
+    def test_bad_choices_rejected(self, key, raw):
+        assume(raw not in CHOICE_KEYS[key])
+        section = next(s for s, k, _ in INI_KEYS if k == key)
+        with pytest.raises(ConfigError):
+            parse_config(f"[{section}]\n{key} = {raw}\n")
+
+    @given(st.sampled_from(INI_KEYS),
+           st.one_of(st.text(max_size=20), st.floats().map(repr),
+                     st.integers(-10**6, 10**6).map(str)))
+    def test_any_value_parses_or_raises_config_error(self, where, raw):
+        section, key, _ = where
+        try:
+            parse_config(f"[{section}]\n{key} = {raw}\n")
+        except ConfigError:
+            pass
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +252,30 @@ class TestRunArtifacts:
             assert (run_dir / name).read_bytes() == (out2 / name).read_bytes()
 
 
+class TestFailureArtifacts:
+    def test_linear_solver_error_keeps_artifacts(self, tmp_path, monkeypatch):
+        factorize = phasefrac.solver.direct_factorize
+        calls = []
+
+        def failing_after_40(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 40:
+                raise SingularOperatorError("injected zero pivot", pivot=0)
+            return factorize(*args, **kwargs)
+
+        monkeypatch.setattr(phasefrac.solver, "direct_factorize", failing_after_40)
+        out = tmp_path / "f"
+        cfgfile = tmp_path / "config.ini"
+        cfgfile.write_text(TRACTION_SMOKE.format(out=out))
+        assert cli.main(["run", str(cfgfile)]) == 3
+        rows = read_csv(out / "energies.csv")
+        # steps 0 and 1 take 37 elastic solves; step 2 fails
+        assert [r["step"] for r in rows] == ["0", "1"]
+        failed = (out / "FAILED.txt").read_text()
+        assert "at step 2 " in failed
+        assert "SingularOperatorError: injected zero pivot" in failed
+
+
 class TestSweep:
     SPEC = """
 [sweep]
@@ -178,7 +289,7 @@ h = 0.05
 n_steps = 6
 
 [solver]
-method = oram
+method = am
 """
 
     def test_summary_layout_and_reduction(self, tmp_path):
@@ -224,12 +335,14 @@ h = 0.05
 n_steps = 6
 
 [solver]
-method = oram
+method = am
 max_am_iterations = 200
 """)
         assert sweep(spec, output_dir=str(tmp_path)) == 0
         rows = read_csv(tmp_path / "summary.csv")
         assert [r["status"] for r in rows] == ["ok", "failed"]
+        assert rows[0]["error"] == ""
+        assert "did not converge" in rows[1]["error"]
 
     def test_unknown_sweep_parameter_rejected(self):
         with pytest.raises(ConfigError, match="wavelength"):
@@ -265,7 +378,7 @@ class TestCommandLine:
         assert not list((tmp_path / "b").glob("*.vtk"))
 
     def test_config_error_exits_2(self, tmp_path):
-        cfgfile = self.write(tmp_path, "[solver]\nmethod = oram\nomega = 2.5\n")
+        cfgfile = self.write(tmp_path, "[solver]\nmethod = am\nomega = 2.5\n")
         res = self.cli("run", str(cfgfile))
         assert res.returncode == 2
         assert "omega" in res.stderr

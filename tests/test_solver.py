@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from phasefrac.cases import run_quasistatic, setup_traction
+from phasefrac.cases import StepFailureError, run_quasistatic, setup_traction
 from phasefrac.fem import State, apply_dirichlet, assemble_energy, assemble_Kuu, assemble_load_u
 from phasefrac.model import Material
 from phasefrac.linalg import BlockJacobian
@@ -51,9 +51,9 @@ class TestConfigValidation:
 
     def test_unknown_linear_choices_rejected(self):
         with pytest.raises(ValueError):
-            SolverConfig(elastic_solver="lu")
+            SolverConfig(elastic="lu")
         with pytest.raises(ValueError):
-            SolverConfig(coupled_solver="amg")
+            SolverConfig(coupled="amg")
 
 
 class TestElasticStep:
@@ -76,7 +76,7 @@ class TestElasticStep:
         state = loaded_state(traction, 0.4)
         u_dir, _ = elastic_step(state, traction.problem, SolverConfig())
         u_cg, kit = elastic_step(state, traction.problem,
-                                 SolverConfig(elastic_solver="cg",
+                                 SolverConfig(elastic="cg",
                                               elastic_rtol=1e-12))
         assert kit > 0
         assert np.allclose(u_cg, u_dir, atol=1e-8 * (1 + np.max(np.abs(u_dir))))
@@ -175,6 +175,21 @@ class TestAlternateMinimization:
                        SolverConfig(max_am_iterations=2))
         assert rep.am_iterations <= 2
 
+    def test_nonfinite_residual_fails_the_step_after_one_sweep(self):
+        setup = setup_traction(MAT, h=0.05, n_steps=4)
+        apply_load = setup.apply_load
+
+        def nan_strain(problem, state, t):
+            apply_load(problem, state, t)
+            problem.eps0 = np.full((setup.mesh.n_triangles, 3), np.nan)
+
+        setup.apply_load = nan_strain
+        with pytest.raises(StepFailureError) as failure:
+            run_quasistatic(setup, SolverConfig(), snapshot_stride=0)
+        assert failure.value.step == 0
+        assert failure.value.report.am_iterations == 1
+        assert not np.isfinite(failure.value.report.final_residual_norm)
+
 
 class TestResidualAndBlocks:
     def test_zero_at_trivial_state(self, traction):
@@ -242,9 +257,9 @@ class TestCoupledNewton:
         state = cracking_state(traction)
         am_solve(state, traction.problem, SolverConfig(), rtol=1e-2)
         out_d, rep_d = coupled_newton_solve(state, traction.problem,
-                                            SolverConfig(coupled_solver="direct"))
+                                            SolverConfig(coupled="direct"))
         out_f, rep_f = coupled_newton_solve(state, traction.problem,
-                                            SolverConfig(coupled_solver="fieldsplit"))
+                                            SolverConfig(coupled="fieldsplit"))
         assert rep_d.converged and rep_f.converged
         assert rep_f.total_krylov_iterations > 0
         scale = 1.0 + np.max(np.abs(out_d.alpha))
@@ -262,7 +277,7 @@ class TestCoupledNewton:
         J = BlockJacobian(A, B, sp.csr_matrix((m, m)))
         inactive = np.arange(n + m)
         rhs = rng.standard_normal(n + m)
-        d, _ = _make_coupled_linear_solver(SolverConfig(coupled_solver="direct"))(
+        d, _ = _make_coupled_linear_solver(SolverConfig(coupled="direct"))(
             J, inactive, rhs)
         assert np.linalg.norm(J.to_csr() @ d - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
