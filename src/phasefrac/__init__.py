@@ -32,14 +32,15 @@ from .cases import (ProblemSetup, StepFailureError, StepRecord,
 from .fem import (DirichletBC, Discretization, EnergyBreakdown, State,
                   apply_dirichlet, assemble_energy, assemble_Kaa, assemble_Kua,
                   assemble_Kuu, assemble_load_u, assemble_residual_alpha,
-                  assemble_residual_u, combine_bcs, eliminate_dirichlet)
+                  assemble_residual_u, combine_bcs, eliminate_dirichlet,
+                  impose_dirichlet)
 from .linalg import (BlockJacobian, BreakdownError, ChebyshevPreconditioner,
                      FieldSplitPreconditioner, InnerSolverError,
                      JacobiPreconditioner, LinearSolveReport,
                      LinearSolverError, SingularOperatorError,
-                     SSORPreconditioner, cg_solve, direct_factorize,
-                     extract_submatrix, inner_cg, inner_direct, minres_solve,
-                     stationary_precond)
+                     SSORPreconditioner, STATIONARY, cg_solve,
+                     direct_factorize, extract_submatrix, inner_chebyshev,
+                     inner_direct, minres_solve)
 from .mesh import (BOUNDARY_TAGS, Mesh, banded_rect_mesh, boundary_dofs,
                    rect_mesh)
 from .model import (C_W, Material, critical_shock, critical_traction,
@@ -51,8 +52,39 @@ from .solver import (NonlinearReport, SolverConfig, am_solve,
                      coupled_newton_solve, damage_step, elastic_step,
                      first_order_residual, inactive_block_jacobian,
                      oram_n_solve, residual_norm, solve_load_step)
-from .vi import (ActivePartition, ActiveSetReport, MCProblem, VIConfig,
-                 classify_active, fb_composite, fb_phi, mcp_residual,
-                 rsls_solve)
+from .vi import (ActivePartition, ActiveSetReport, MCProblem, classify_active,
+                 fb_composite, fb_phi, mcp_residual, rsls_solve)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "__version__",
+    # cases
+    "ProblemSetup", "StepFailureError", "StepRecord", "crack_band_count",
+    "run_quasistatic", "setup_surfing", "setup_thermal_shock", "setup_traction",
+    "surfing_displacement", "thermal_strain",
+    # fem
+    "DirichletBC", "Discretization", "EnergyBreakdown", "State", "apply_dirichlet",
+    "assemble_energy", "assemble_Kaa", "assemble_Kua", "assemble_Kuu",
+    "assemble_load_u", "assemble_residual_alpha", "assemble_residual_u",
+    "combine_bcs", "eliminate_dirichlet", "impose_dirichlet",
+    # linalg
+    "BlockJacobian", "BreakdownError", "ChebyshevPreconditioner",
+    "FieldSplitPreconditioner", "InnerSolverError", "JacobiPreconditioner",
+    "LinearSolveReport", "LinearSolverError", "SingularOperatorError",
+    "SSORPreconditioner", "STATIONARY", "cg_solve", "direct_factorize",
+    "extract_submatrix", "inner_chebyshev", "inner_direct", "minres_solve",
+    # mesh
+    "BOUNDARY_TAGS", "Mesh", "banded_rect_mesh", "boundary_dofs", "rect_mesh",
+    # model
+    "C_W", "Material", "critical_shock", "critical_traction", "degradation",
+    "dissipation", "internal_length",
+    # runio
+    "ConfigError", "RunConfig", "SweepSpec", "build_material", "build_setup",
+    "configure", "echo_config", "parse_config", "parse_sweep", "run", "sweep",
+    # solver
+    "NonlinearReport", "SolverConfig", "am_solve", "coupled_newton_solve",
+    "damage_step", "elastic_step", "first_order_residual",
+    "inactive_block_jacobian", "oram_n_solve", "residual_norm", "solve_load_step",
+    # vi
+    "ActivePartition", "ActiveSetReport", "MCProblem", "classify_active",
+    "fb_composite", "fb_phi", "mcp_residual", "rsls_solve",
+]

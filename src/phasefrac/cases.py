@@ -29,7 +29,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.special import erfc
 
 from .fem import (Discretization, DirichletBC, EnergyBreakdown, State,
-                  assemble_energy, combine_bcs)
+                  assemble_energy, combine_bcs, impose_dirichlet)
 from .linalg import LinearSolverError
 from .mesh import Mesh, banded_rect_mesh, boundary_dofs, rect_mesh
 from .model import Material, critical_shock, critical_traction
@@ -288,11 +288,9 @@ def run_quasistatic(setup: ProblemSetup, config: SolverConfig,
     n = setup.schedule.shape[0]
     for k in range(n):
         t = float(setup.schedule[k])
-        state.load = t
         state.alpha_lb = state.alpha.copy()
         setup.apply_load(setup.problem, state, t)
-        if setup.problem.bc is not None:
-            state.u[setup.problem.bc.dofs] = setup.problem.bc.values
+        impose_dirichlet(state, setup.problem)
         if (setup.seed_threshold is not None and not seeded
                 and t > setup.seed_threshold * (1.0 + 1e-12)):
             state.alpha = np.maximum(state.alpha, setup.seed_alpha)

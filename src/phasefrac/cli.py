@@ -19,17 +19,19 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="phasefrac",
         description="Phase-field brittle fracture benchmarks: run, sweep, validate.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (("run", "execute one configuration and write artifacts"),
-                      ("sweep", "run a parameter sweep and write summary.csv"),
-                      ("validate", "parse a configuration and echo it fully resolved")):
-        p = sub.add_parser(name, help=doc)
+    cmd = {name: sub.add_parser(name, help=doc) for name, doc in (
+        ("run", "execute one configuration and write artifacts"),
+        ("sweep", "run a parameter sweep and write summary.csv"),
+        ("validate", "parse a configuration and echo it fully resolved"))}
+    for p in cmd.values():
         p.add_argument("config_file", help="path to the INI configuration")
-        p.add_argument("--output-dir", default=None,
-                       help="override the [output] directory")
-        p.add_argument("--snapshot-stride", type=int, default=None,
-                       help="override the snapshot stride (0 disables snapshots)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for sweep rows")
+    for name in ("run", "sweep"):
+        cmd[name].add_argument("--output-dir", default=None,
+                               help="override the [output] directory")
+    cmd["run"].add_argument("--snapshot-stride", type=int, default=None,
+                            help="override the snapshot stride (0 disables snapshots)")
+    cmd["sweep"].add_argument("--threads", type=int, default=1,
+                              help="worker processes for sweep rows")
     return parser
 
 

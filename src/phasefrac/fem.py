@@ -12,11 +12,15 @@ element.  All residuals and Hessian blocks below are exact derivatives of this
 discrete functional, so finite-difference consistency holds to round-off.
 
 Voigt convention: (e11, e22, gamma12) with engineering shear gamma12 = 2 e12.
+
+Dirichlet data is read only here: ``impose_dirichlet``, ``eliminate_dirichlet``
+and ``apply_dirichlet`` take it from ``Discretization.bc`` and eliminate it
+from matrices assembled on their block's fixed pattern.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -34,21 +38,20 @@ class EnergyBreakdown(NamedTuple):
 
 @dataclass
 class State:
-    """Solution fields plus the irreversibility floor and the current load."""
+    """Solution fields plus the irreversibility floor."""
 
     u: np.ndarray
     alpha: np.ndarray
     alpha_lb: np.ndarray
-    load: float = 0.0
 
     @classmethod
     def zeros(cls, mesh: Mesh, alpha_lb: Optional[np.ndarray] = None) -> "State":
         n = mesh.n_vertices
         lb = np.zeros(n) if alpha_lb is None else np.asarray(alpha_lb, dtype=float).copy()
-        return cls(u=np.zeros(2 * n), alpha=lb.copy(), alpha_lb=lb, load=0.0)
+        return cls(u=np.zeros(2 * n), alpha=lb.copy(), alpha_lb=lb)
 
     def copy(self) -> "State":
-        return State(self.u.copy(), self.alpha.copy(), self.alpha_lb.copy(), self.load)
+        return State(self.u.copy(), self.alpha.copy(), self.alpha_lb.copy())
 
     def check_feasible(self, tol: float = 1e-12) -> None:
         if np.any(self.alpha < self.alpha_lb - tol) or np.any(self.alpha > 1.0 + tol):
@@ -172,9 +175,7 @@ class Discretization:
         dofs = self.bc.dofs
         cached = self._eliminations.get(block)
         if cached is None or not np.array_equal(cached.dofs, dofs):
-            pat = self.pattern(block)
-            cached = DirichletElimination(pat.indptr, pat.indices, pat.shape, dofs,
-                                          columns=block == "uu")
+            cached = DirichletElimination(self.pattern(block), dofs, columns=block == "uu")
             self._eliminations[block] = cached
         return cached
 
@@ -302,7 +303,7 @@ def assemble_Kuu(state: State, problem: Discretization, apply_bc: bool = True) -
     a, _, _ = degradation(ab, m.k_ell)
     K = problem.pattern("uu").matrix((a * problem.area)[:, None, None] * problem.BtDB)
     if apply_bc and problem.bc is not None:
-        K = eliminate_dirichlet(K, problem.bc.dofs, problem.dirichlet_elimination("uu"))
+        K = eliminate_dirichlet(K, problem)
     return K
 
 
@@ -317,7 +318,7 @@ def assemble_Kua(state: State, problem: Discretization, apply_bc: bool = True) -
     data = np.repeat(v[:, :, None], 3, axis=2)  # identical columns per node
     K = problem.pattern("ua").matrix(data)
     if apply_bc and problem.bc is not None:
-        K = problem.dirichlet_elimination("ua").matrix(K.data)
+        K = eliminate_dirichlet(K, problem, "ua")
     return K
 
 
@@ -337,15 +338,15 @@ def assemble_Kaa(state: State, problem: Discretization) -> sp.csr_matrix:
 
 
 class DirichletElimination:
-    """Precomputed gather from a fixed CSR pattern to its Dirichlet-eliminated form.
+    """Precomputed gather from a block pattern to its Dirichlet-eliminated form.
 
     Rows of ``dofs`` are dropped; with ``columns`` their columns are dropped
     too and each constrained row keeps only a unit diagonal.  Applying it to a
     data array on the source pattern is one gather and one scatter of ones.
     """
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, shape: tuple,
-                 dofs: np.ndarray, columns: bool = True):
+    def __init__(self, pattern: BlockPattern, dofs: np.ndarray, columns: bool = True):
+        indptr, indices, shape = pattern.indptr, pattern.indices, pattern.shape
         self.dofs = np.array(dofs, dtype=np.intp)
         self.shape = shape
         fixed = np.zeros(shape[0], dtype=bool)
@@ -374,32 +375,38 @@ class DirichletElimination:
         return _csr(out, self.indices, self.indptr, self.shape)
 
 
-def eliminate_dirichlet(K: sp.csr_matrix, dofs: np.ndarray,
-                        elimination: Optional[DirichletElimination] = None) -> sp.csr_matrix:
-    """Zero rows/columns of ``dofs`` and put 1 on their diagonal.
+def eliminate_dirichlet(K: sp.csr_matrix, problem: Discretization,
+                        block: str = "uu") -> sp.csr_matrix:
+    """Eliminate ``problem.bc`` from a block assembled on ``problem.pattern(block)``.
 
-    ``elimination``, if given, must have been built for K's pattern and these
-    dofs (``Discretization.dirichlet_elimination``); otherwise one is built
-    here, and entries of K that are exactly zero are dropped first.
+    ``"uu"`` zeroes the constrained rows and columns and puts 1 on their
+    diagonal; ``"ua"`` zeroes the constrained rows.  A matrix whose entry
+    count differs from the pattern's was not assembled on it and is rejected.
     """
-    if elimination is None:
-        K = sp.csr_matrix(K, dtype=float, copy=True)
-        K.sum_duplicates()
-        K.eliminate_zeros()
-        elimination = DirichletElimination(K.indptr, K.indices, K.shape, dofs)
-    return elimination.matrix(K.data)
+    nnz = problem.pattern(block).nnz
+    if K.nnz != nnz:
+        raise ValueError(f"matrix has {K.nnz} entries, the {block!r} pattern {nnz}")
+    return problem.dirichlet_elimination(block).matrix(K.data)
 
 
-def apply_dirichlet(K: sp.csr_matrix, rhs: np.ndarray, bc: DirichletBC,
-                    elimination: Optional[DirichletElimination] = None):
-    """Symmetric elimination of a linear system.
+def apply_dirichlet(K: sp.csr_matrix, rhs: np.ndarray, problem: Discretization):
+    """Symmetric elimination of ``problem.bc`` from the system K x = rhs (block ``"uu"``).
 
     Returns (K', rhs') with K'[j, :] = K'[:, j] = e_j and rhs'[j] = value_j for
-    constrained j, and rhs adjusted on free rows so the solution is unchanged.
-    ``elimination`` is passed on to ``eliminate_dirichlet``.
+    constrained j, and rhs adjusted on free rows so the solution is unchanged;
+    (K, rhs) themselves when there is no boundary data.
     """
+    bc = problem.bc
+    if bc is None:
+        return K, rhs
     g = np.zeros(K.shape[0])
     g[bc.dofs] = bc.values
     rhs2 = rhs - K @ g
     rhs2[bc.dofs] = bc.values
-    return eliminate_dirichlet(K, bc.dofs, elimination), rhs2
+    return eliminate_dirichlet(K, problem), rhs2
+
+
+def impose_dirichlet(state: State, problem: Discretization) -> None:
+    """Set the constrained displacement dofs of ``state`` to their values."""
+    if problem.bc is not None:
+        state.u[problem.bc.dofs] = problem.bc.values

@@ -4,6 +4,9 @@ Matrices are scipy CSR (compressed-row storage with sorted, duplicate-free
 indices).  Krylov solvers are written out longhand because their iteration
 counts and residual histories are reported quantities; direct factorization
 delegates to SuperLU.
+
+Operators need ``shape`` and ``A @ x``; preconditioners need ``matvec(r)``,
+which applies a fixed SPD approximation of the inverse.
 """
 
 from __future__ import annotations
@@ -70,33 +73,17 @@ class BlockJacobian:
         n = self.nu + self.na
         return (n, n)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    @property
+    def T(self) -> "BlockJacobian":
+        return self   # symmetric
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
         xu, xa = x[: self.nu], x[self.nu:]
         return np.concatenate([self.A @ xu + self.B @ xa,
                                self.B.T @ xu + self.C @ xa])
 
     def to_csr(self) -> sp.csr_matrix:
         return sp.bmat([[self.A, self.B], [self.B.T, self.C]], format="csr")
-
-
-def _as_matvec(A) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
-    if isinstance(A, BlockJacobian):
-        return A.matvec, A.shape[0]
-    if sp.issparse(A):
-        return (lambda x: A @ x), A.shape[0]
-    if hasattr(A, "matvec"):
-        return A.matvec, A.shape[0]
-    if isinstance(A, np.ndarray):
-        return (lambda x: A @ x), A.shape[0]
-    raise TypeError(f"unsupported operator type {type(A)!r}")
-
-
-def _apply_precond(M, r: np.ndarray) -> np.ndarray:
-    if M is None:
-        return r
-    if hasattr(M, "matvec"):
-        return M.matvec(r)
-    return M(r)
 
 
 # -- Krylov solvers -----------------------------------------------------------
@@ -110,8 +97,10 @@ def cg_solve(A, b: np.ndarray, precond=None, rtol: float = 1e-10,
     Convergence is tested on the true residual 2-norm against
     max(rtol*||b||, atol).  Detected indefiniteness (p^T A p <= 0 or
     z^T r <= 0) raises BreakdownError naming the offending step.
+    ``precond=None`` is the identity.
     """
-    matvec, n = _as_matvec(A)
+    apply_precond = (lambda r: r) if precond is None else precond.matvec
+    n = A.shape[0]
     maxit = maxit if maxit is not None else 10 * n
     bnorm = float(np.linalg.norm(b))
     target = max(rtol * bnorm, atol)
@@ -119,7 +108,7 @@ def cg_solve(A, b: np.ndarray, precond=None, rtol: float = 1e-10,
     if bnorm == 0.0:
         return x, LinearSolveReport(0, 0.0, True)
     r = b.copy()
-    z = _apply_precond(precond, r)
+    z = apply_precond(r)
     rz = float(r @ z)
     if rz <= 0.0:
         raise BreakdownError(f"cg: preconditioner not SPD at iteration 0 (r'z={rz:.3e})")
@@ -127,7 +116,7 @@ def cg_solve(A, b: np.ndarray, precond=None, rtol: float = 1e-10,
     rnorm = bnorm
     it = 0
     while it < maxit and rnorm > target:
-        Ap = matvec(p)
+        Ap = A @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             raise BreakdownError(f"cg: p'Ap = {pAp:.3e} <= 0 at iteration {it + 1} "
@@ -141,7 +130,7 @@ def cg_solve(A, b: np.ndarray, precond=None, rtol: float = 1e-10,
             callback(x.copy())
         if rnorm <= target:
             break
-        z = _apply_precond(precond, r)
+        z = apply_precond(r)
         rz_new = float(r @ z)
         if rz_new <= 0.0:
             raise BreakdownError(f"cg: preconditioner not SPD at iteration {it} "
@@ -155,15 +144,16 @@ def minres_solve(A, b: np.ndarray, precond=None, rtol: float = 1e-8,
                  atol: float = 0.0, maxit: Optional[int] = None):
     """MINRES for symmetric (possibly indefinite) systems, x0 = 0.
 
-    ``precond`` must be symmetric positive definite; convergence is tested on
-    the preconditioned residual norm, which the recurrence decreases
-    monotonically.  Accepts CSR matrices, BlockJacobian, or matvec objects.
+    ``precond`` (``None`` is the identity) must be symmetric positive definite;
+    convergence is tested on the preconditioned residual norm, which the
+    recurrence decreases monotonically.
     """
-    matvec, n = _as_matvec(A)
+    apply_precond = (lambda r: r) if precond is None else precond.matvec
+    n = A.shape[0]
     maxit = maxit if maxit is not None else 10 * n
     x = np.zeros(n)
     r1 = b.copy()
-    y = _apply_precond(precond, r1)
+    y = apply_precond(r1)
     beta1 = float(r1 @ y)
     if beta1 < 0.0:
         raise BreakdownError(f"minres: preconditioner not SPD (r'M^-1 r = {beta1:.3e})")
@@ -185,14 +175,14 @@ def minres_solve(A, b: np.ndarray, precond=None, rtol: float = 1e-8,
         it += 1
         s = 1.0 / beta
         v = s * y
-        y = matvec(v)
+        y = A @ v
         if it >= 2:
             y = y - (beta / oldb) * r1
         alfa = float(v @ y)
         y = y - (alfa / beta) * r2
         r1 = r2
         r2 = y
-        y = _apply_precond(precond, r2)
+        y = apply_precond(r2)
         oldb = beta
         beta = float(r2 @ y)
         if beta < 0.0:
@@ -229,8 +219,6 @@ class DirectFactorization:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._lu.solve(np.asarray(b, dtype=float))
-
-    __call__ = solve
 
 
 def _find_zero_pivot(A) -> int:
@@ -398,11 +386,6 @@ STATIONARY = {"jacobi": JacobiPreconditioner, "ssor": SSORPreconditioner,
               "chebyshev": ChebyshevPreconditioner}
 
 
-def stationary_precond(A, kind: str, **kwargs):
-    """Build the preconditioner ``STATIONARY[kind]`` for a CSR matrix."""
-    return STATIONARY[kind](A, **kwargs)
-
-
 # -- field-split block preconditioner -------------------------------------------
 
 
@@ -415,8 +398,8 @@ class FieldSplitPreconditioner:
 
     applied multiplicatively with one C-solve and two A-solves.  ``inner_a``
     and ``inner_c`` are callables b -> x; their failures propagate tagged with
-    the block identity.  With symmetric inner solves the operator is symmetric
-    (and SPD when A and C are SPD).
+    the block identity.  With linear symmetric inner solves the operator is
+    symmetric (and SPD when A and C are SPD).
     """
 
     def __init__(self, block: BlockJacobian, inner_a: Callable, inner_c: Callable):
@@ -449,14 +432,13 @@ def inner_direct(M) -> Callable[[np.ndarray], np.ndarray]:
     return fact.solve
 
 
-def inner_cg(M, budget: int = 5, precond_kind: str = "ssor") -> Callable[[np.ndarray], np.ndarray]:
-    """Fixed-budget preconditioned CG inner solver (inexact, cheap)."""
+def inner_chebyshev(M, degree: int = 5) -> Callable[[np.ndarray], np.ndarray]:
+    """Inexact inner solver: a fixed Chebyshev polynomial in M.
+
+    Unlike a fixed budget of CG, whose result depends nonlinearly on the
+    right-hand side, this is one linear SPD operator, as MINRES requires of
+    its preconditioner.
+    """
     if M.shape[0] == 0:
         return lambda b: np.zeros(0)
-    P = stationary_precond(M, precond_kind)
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        x, _ = cg_solve(M, b, precond=P, rtol=1e-12, maxit=budget)
-        return x
-
-    return solve
+    return ChebyshevPreconditioner(M, degree=degree).matvec

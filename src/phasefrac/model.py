@@ -91,11 +91,10 @@ def critical_shock(material: Material) -> float:
     """Temperature-jump threshold below which an erfc-profile shock stays elastic.
 
     The surface stress of the shock is sigma = E beta dT (plane stress, laterally
-    constrained slab), so the threshold is sigma_c/(E beta) = sqrt(3 Gc/(8 E ell))/beta,
-    i.e. beta * dT_c equals the critical traction strain at the same (E, Gc, ell).
+    constrained slab), so the threshold is sigma_c/(E beta) = t_c/beta: beta * dT_c
+    equals the critical traction strain t_c at the same (E, Gc, ell).
     """
-    m = material
-    return math.sqrt(3.0 * m.Gc / (8.0 * m.E * m.ell)) / m.beta
+    return critical_traction(material) / material.beta
 
 
 def internal_length(Gc: float, E: float, sigma_c: float) -> float:

@@ -35,8 +35,8 @@ is optional and validated; unknown sections or keys are errors:
     elastic_precond = ssor     ; jacobi | ssor | chebyshev
     elastic_rtol = 1e-10
     coupled = fieldsplit       ; direct | fieldsplit
-    fieldsplit_inner = direct  ; direct | cg
-    fieldsplit_cg_budget = 5
+    fieldsplit_inner = direct  ; direct | chebyshev
+    fieldsplit_degree = 5      ; polynomial degree of the chebyshev inners
     fieldsplit_rtol = 1e-06
 
     [output]

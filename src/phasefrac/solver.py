@@ -1,9 +1,10 @@
 """Nonlinear solvers for one quasi-static load step of the fracture model.
 
 Three entry points, all driving the same first-order optimality system
-(displacement residual with Dirichlet rows zeroed, damage residual composed
-through the Fischer-Burmeister function against the bounds
-``alpha_lb <= alpha <= 1``):
+(displacement residual with ``u - ubar`` on the Dirichlet rows, damage
+residual composed through the Fischer-Burmeister function against the bounds
+``alpha_lb <= alpha <= 1``).  Boundary data is read and imposed only through
+``fem``:
 
 * ``am_solve`` -- alternate minimization: exact linear solve in u at fixed
   alpha, then a bound-constrained damage solve at fixed u, with optional
@@ -28,21 +29,20 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fem import (Discretization, EnergyBreakdown, State, apply_dirichlet,
-                  assemble_energy, assemble_Kaa, assemble_Kua, assemble_Kuu,
-                  assemble_load_u, assemble_residual_alpha,
-                  assemble_residual_u)
+from .fem import (Discretization, State, apply_dirichlet, assemble_energy,
+                  assemble_Kaa, assemble_Kua, assemble_Kuu, assemble_load_u,
+                  assemble_residual_alpha, assemble_residual_u,
+                  impose_dirichlet)
 from .linalg import (STATIONARY, BlockJacobian, FieldSplitPreconditioner,
                      LinearSolverError, cg_solve, direct_factorize,
-                     extract_submatrix, inner_cg, inner_direct, minres_solve,
-                     stationary_precond)
-from .vi import (ActiveSetReport, MCProblem, VIConfig, classify_active,
-                 fb_composite, rsls_solve)
+                     extract_submatrix, inner_chebyshev, inner_direct,
+                     minres_solve)
+from .vi import MCProblem, classify_active, fb_composite, rsls_solve
 
 #: the choice-valued fields of SolverConfig and their admissible values
 CHOICES = {"method": ("am", "oram_newton", "newton_only"), "elastic": ("direct", "cg"),
            "elastic_precond": tuple(STATIONARY),
-           "coupled": ("direct", "fieldsplit"), "fieldsplit_inner": ("direct", "cg")}
+           "coupled": ("direct", "fieldsplit"), "fieldsplit_inner": ("direct", "chebyshev")}
 #: damage subproblem tolerance, as a fraction of ``outer_atol``
 DAMAGE_ATOL_FACTOR = 0.1
 MAX_VI_ITERATIONS = 200
@@ -75,7 +75,7 @@ class SolverConfig:
     elastic_rtol: float = field(default=1e-10, metadata=_LINEAR)
     coupled: str = field(default="fieldsplit", metadata=_LINEAR)   # Newton inactive block
     fieldsplit_inner: str = field(default="direct", metadata=_LINEAR)  # block inverses
-    fieldsplit_cg_budget: int = field(default=5, metadata=_LINEAR)
+    fieldsplit_degree: int = field(default=5, metadata=_LINEAR)   # of the chebyshev inners
     fieldsplit_rtol: float = field(default=1e-6, metadata=_LINEAR)
 
     def __post_init__(self):
@@ -88,7 +88,7 @@ class SolverConfig:
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         for name in ("max_am_iterations", "max_newton_iterations", "max_outer_cycles",
-                     "fieldsplit_cg_budget"):
+                     "fieldsplit_degree"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
 
@@ -113,12 +113,10 @@ class NonlinearReport:
 
 
 def first_order_residual(state: State, problem: Discretization) -> np.ndarray:
-    """Stacked optimality residual: plain u-rows (Dirichlet rows zeroed) and
-    the Fischer-Burmeister composition of the damage rows with the box
-    ``alpha_lb <= alpha <= 1``."""
-    ru = assemble_residual_u(state, problem, apply_bc=False)
-    if problem.bc is not None:
-        ru[problem.bc.dofs] = 0.0
+    """Stacked optimality residual: the u-rows (``u - ubar`` on Dirichlet
+    rows) and the Fischer-Burmeister composition of the damage rows with the
+    box ``alpha_lb <= alpha <= 1``."""
+    ru = assemble_residual_u(state, problem, apply_bc=True)
     ra = assemble_residual_alpha(state, problem)
     phi_a = fb_composite(state.alpha, ra, state.alpha_lb,
                          np.ones_like(state.alpha))
@@ -129,11 +127,6 @@ def residual_norm(state: State, problem: Discretization) -> float:
     return float(np.linalg.norm(first_order_residual(state, problem)))
 
 
-def _snap_bc(state: State, problem: Discretization) -> None:
-    if problem.bc is not None:
-        state.u[problem.bc.dofs] = problem.bc.values
-
-
 # -- half-steps -----------------------------------------------------------------
 
 
@@ -141,11 +134,10 @@ def elastic_step(state: State, problem: Discretization, config: SolverConfig):
     """Minimize the energy in u at fixed alpha.  Returns (u, krylov_iterations)."""
     K = assemble_Kuu(state, problem, apply_bc=False)
     f = assemble_load_u(state, problem)
-    if problem.bc is not None:
-        K, f = apply_dirichlet(K, f, problem.bc, problem.dirichlet_elimination("uu"))
+    K, f = apply_dirichlet(K, f, problem)
     if config.elastic == "direct":
         return direct_factorize(K).solve(f), 0
-    precond = stationary_precond(K, config.elastic_precond)
+    precond = STATIONARY[config.elastic_precond](K)
     u, rep = cg_solve(K, f, precond=precond, rtol=config.elastic_rtol)
     if not rep.converged:
         raise LinearSolverError(
@@ -166,9 +158,8 @@ def damage_step(state: State, problem: Discretization, config: SolverConfig):
                     jacobian=lambda a: Kaa,
                     lower=state.alpha_lb,
                     upper=np.ones_like(state.alpha))
-    vic = VIConfig(abs_tol=DAMAGE_ATOL_FACTOR * config.outer_atol,
-                   max_iterations=MAX_VI_ITERATIONS)
-    return rsls_solve(mcp, state.alpha, vic)
+    return rsls_solve(mcp, state.alpha, abs_tol=DAMAGE_ATOL_FACTOR * config.outer_atol,
+                      max_iterations=MAX_VI_ITERATIONS)
 
 
 # -- alternate minimization ------------------------------------------------------
@@ -192,7 +183,7 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
     and stops unconverged as soon as the norm is not finite.  ``log``, if
     given, receives one row per sweep.
     """
-    _snap_bc(state, problem)
+    impose_dirichlet(state, problem)
     phi0 = residual_norm(state, problem)
     target = config.outer_atol if rtol is None else max(rtol * phi0, config.outer_atol)
 
@@ -208,7 +199,7 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
         u_star, kit = elastic_step(state, problem, config)
         report.total_krylov_iterations += kit
         state.u = u_prev + config.omega * (u_star - u_prev)
-        _snap_bc(state, problem)
+        impose_dirichlet(state, problem)
 
         a_prev = state.alpha.copy()
         a_star, vrep = damage_step(state, problem, config)
@@ -275,15 +266,14 @@ def _make_coupled_linear_solver(config: SolverConfig):
     """Inner solver for the inactive block of the stacked Newton system."""
 
     def solve(J: BlockJacobian, inactive: np.ndarray, rhs: np.ndarray):
-        if config.coupled == "direct":
-            sub = extract_submatrix(J.to_csr(), inactive, inactive)
-            return direct_factorize(sub, spd=False).solve(rhs), None
         red, _, _ = _inactive_blocks(J, inactive)
+        if config.coupled == "direct":
+            return direct_factorize(red.to_csr(), spd=False).solve(rhs), None
         if config.fieldsplit_inner == "direct":
             inner_a, inner_c = inner_direct(red.A), inner_direct(red.C)
         else:
-            inner_a = inner_cg(red.A, budget=config.fieldsplit_cg_budget)
-            inner_c = inner_cg(red.C, budget=config.fieldsplit_cg_budget)
+            inner_a = inner_chebyshev(red.A, degree=config.fieldsplit_degree)
+            inner_c = inner_chebyshev(red.C, degree=config.fieldsplit_degree)
         precond = FieldSplitPreconditioner(red, inner_a, inner_c)
         d, rep = minres_solve(red, rhs, precond=precond, rtol=config.fieldsplit_rtol)
         if not rep.converged:
@@ -339,9 +329,9 @@ def coupled_newton_solve(state: State, problem: Discretization,
     """
     mcp = coupled_mcp(state, problem)
     x0 = np.concatenate([state.u, state.alpha])
-    vic = VIConfig(abs_tol=config.outer_atol,
-                   max_iterations=config.max_newton_iterations)
-    x, rep = rsls_solve(mcp, x0, vic, linear_solver=_make_coupled_linear_solver(config))
+    x, rep = rsls_solve(mcp, x0, abs_tol=config.outer_atol,
+                        max_iterations=config.max_newton_iterations,
+                        linear_solver=_make_coupled_linear_solver(config))
     out = state.copy()
     out.u = x[:problem.n_udofs]
     out.alpha = x[problem.n_udofs:]
@@ -371,7 +361,7 @@ def oram_n_solve(state: State, problem: Discretization,
     exceeds the pure alternate-minimization trajectory.
     """
     report = NonlinearReport(omega_bar_min=config.omega)
-    _snap_bc(state, problem)
+    impose_dirichlet(state, problem)
 
     for cycle in range(config.max_outer_cycles):
         phi0 = residual_norm(state, problem)
@@ -446,8 +436,7 @@ def solve_load_step(state: State, problem: Discretization, config: SolverConfig,
 # -- reduced block system at a solved state ----------------------------------------
 
 
-def inactive_block_jacobian(state: State, problem: Discretization,
-                            zeta: Optional[float] = None):
+def inactive_block_jacobian(state: State, problem: Discretization):
     """Symmetric block Jacobian restricted to the inactive set at ``state``.
 
     Returns (BlockJacobian, inactive_u_indices, inactive_alpha_indices); used
@@ -456,7 +445,6 @@ def inactive_block_jacobian(state: State, problem: Discretization,
     """
     mcp = coupled_mcp(state, problem)
     x = np.concatenate([state.u, state.alpha])
-    if zeta is None:
-        zeta = 1e-10 * (1.0 + float(np.max(np.abs(x))))
+    zeta = 1e-10 * (1.0 + float(np.max(np.abs(x))))   # the slack rsls_solve uses
     part = classify_active(x, mcp.residual(x), mcp.lower, mcp.upper, zeta)
     return _inactive_blocks(mcp.jacobian(x), part.inactive)

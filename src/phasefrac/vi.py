@@ -22,7 +22,7 @@ Newton direction is unavailable or fails to decrease.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 import numpy as np
 
@@ -30,6 +30,10 @@ from .linalg import (LinearSolveReport, LinearSolverError, direct_factorize,
                      extract_submatrix)
 
 _SQRT2_M1 = 1.0 / np.sqrt(2.0) - 1.0
+#: line search: step factor per backtrack, smallest step tried, Armijo slope fraction
+LS_BACKTRACK = 0.5
+LS_MIN_STEP = 1e-10
+ARMIJO = 1e-4
 
 
 @dataclass
@@ -59,20 +63,6 @@ class ActivePartition:
     lower: np.ndarray
     upper: np.ndarray
     inactive: np.ndarray
-
-    @property
-    def active(self) -> np.ndarray:
-        return np.sort(np.concatenate([self.lower, self.upper]))
-
-
-@dataclass
-class VIConfig:
-    zero_tol: Optional[float] = None  # active-set slack; None -> 1e-10*(1+|x0|_inf)
-    abs_tol: float = 1e-8
-    max_iterations: int = 100
-    ls_backtrack: float = 0.5
-    ls_min_step: float = 1e-10
-    armijo: float = 1e-4
 
 
 @dataclass
@@ -169,13 +159,7 @@ def _merit_gradient(x, F, phi, J, lower, upper) -> np.ndarray:
         pa_i, pb_i = _fb_partials(s, -F[both])
         p[both] = pa_o - pb_o * pa_i
         q[both] = -pb_o * pb_i
-    if hasattr(J, "matvec_transpose"):
-        Jt_qphi = J.matvec_transpose(q * phi)
-    elif hasattr(J, "matvec"):  # symmetric block operators
-        Jt_qphi = J.matvec(q * phi)
-    else:
-        Jt_qphi = J.T @ (q * phi)
-    return 2.0 * (p * phi + Jt_qphi)
+    return 2.0 * (p * phi + J.T @ (q * phi))
 
 
 def reduced_direct_solver(J, inactive: np.ndarray, rhs: np.ndarray):
@@ -184,21 +168,19 @@ def reduced_direct_solver(J, inactive: np.ndarray, rhs: np.ndarray):
     return direct_factorize(sub).solve(rhs), None
 
 
-def rsls_solve(problem: MCProblem, x0: np.ndarray, config: Optional[VIConfig] = None,
-               linear_solver=None):
+def rsls_solve(problem: MCProblem, x0: np.ndarray, abs_tol: float = 1e-8,
+               max_iterations: int = 100, linear_solver=None):
     """Reduced-space active-set semismooth Newton solve of the MCP.
 
-    Returns (x, ActiveSetReport).  Every iterate is exactly feasible (trial
-    points are clamped to the box); the merit ||Phi||^2 never increases across
-    accepted iterations.
+    Stops when ||Phi|| <= ``abs_tol`` or after ``max_iterations``.  Returns
+    (x, ActiveSetReport).  Every iterate is exactly feasible (trial points are
+    clamped to the box); the merit ||Phi||^2 never increases across accepted
+    iterations.  The active-set slack is 1e-10 * (1 + |x0|_inf).
     """
-    config = config or VIConfig()
     linear_solver = linear_solver or reduced_direct_solver
     x = np.clip(np.asarray(x0, dtype=float), problem.lower, problem.upper)
-    zeta = config.zero_tol
-    if zeta is None:
-        scale = float(np.max(np.abs(x))) if x.size else 0.0
-        zeta = 1e-10 * (1.0 + scale)
+    scale = float(np.max(np.abs(x))) if x.size else 0.0
+    zeta = 1e-10 * (1.0 + scale)
 
     report = ActiveSetReport(0, False, np.inf)
     F = problem.residual(x)
@@ -209,18 +191,18 @@ def rsls_solve(problem: MCProblem, x0: np.ndarray, config: Optional[VIConfig] = 
     def line_search(d, bound):
         """Backtrack on projected trials; bound(mu) is the acceptance target."""
         mu = 1.0
-        while mu >= config.ls_min_step:
+        while mu >= LS_MIN_STEP:
             trial = np.clip(x + mu * d, problem.lower, problem.upper)
             F_t = problem.residual(trial)
             phi_t = fb_composite(trial, F_t, problem.lower, problem.upper)
             m_t = float(phi_t @ phi_t)
             if m_t <= bound(mu):
                 return trial, F_t, phi_t, m_t
-            mu *= config.ls_backtrack
+            mu *= LS_BACKTRACK
         return None
 
-    for it in range(1, config.max_iterations + 1):
-        if np.sqrt(merit) <= config.abs_tol:
+    for it in range(1, max_iterations + 1):
+        if np.sqrt(merit) <= abs_tol:
             report.converged = True
             break
         report.iterations = it
@@ -237,7 +219,7 @@ def rsls_solve(problem: MCProblem, x0: np.ndarray, config: Optional[VIConfig] = 
                 if isinstance(lin_rep, LinearSolveReport):
                     report.total_krylov_iterations += lin_rep.iterations
                 accepted = line_search(
-                    d, lambda mu: (1.0 - 2.0 * config.armijo * mu) * merit)
+                    d, lambda mu: (1.0 - 2.0 * ARMIJO * mu) * merit)
             except (LinearSolverError, np.linalg.LinAlgError):
                 report.linear_failures += 1
 
@@ -248,17 +230,14 @@ def rsls_solve(problem: MCProblem, x0: np.ndarray, config: Optional[VIConfig] = 
                 scale = 1.0 / max(1.0, gnorm)
                 accepted = line_search(
                     -scale * g,
-                    lambda mu: merit - config.armijo * mu * scale * gnorm * gnorm)
+                    lambda mu: merit - ARMIJO * mu * scale * gnorm * gnorm)
                 report.steepest_descent_steps += 1
         if accepted is None:
             break  # stagnation: no descent along Newton or gradient direction
 
         x, F, phi, merit = accepted
         report.residual_history.append(np.sqrt(merit))
-    else:
-        # loop exhausted without hitting the tolerance
-        pass
 
     report.final_residual_norm = float(np.sqrt(merit))
-    report.converged = report.final_residual_norm <= config.abs_tol
+    report.converged = report.final_residual_norm <= abs_tol
     return x, report

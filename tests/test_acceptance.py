@@ -63,7 +63,7 @@ def mismatch(a: np.ndarray, b: np.ndarray, rtol: float = 1e-5,
 def final_state(setup, records) -> State:
     """Reconstruct the converged final state of a snapshotted run."""
     state = State(u=records[-1].u.copy(), alpha=records[-1].alpha.copy(),
-                  alpha_lb=records[-2].alpha.copy(), load=records[-1].load)
+                  alpha_lb=records[-2].alpha.copy())
     setup.apply_load(setup.problem, state, records[-1].load)
     return state
 
@@ -157,17 +157,17 @@ def test_criterion_01_derivative_consistency(capsys):
 
     def energy(u, alpha):
         return assemble_energy(
-            State(u=u, alpha=alpha, alpha_lb=np.zeros_like(alpha), load=0.0),
+            State(u=u, alpha=alpha, alpha_lb=np.zeros_like(alpha)),
             problem).total
 
     def res_u(u, alpha):
         return assemble_residual_u(
-            State(u=u, alpha=alpha, alpha_lb=np.zeros_like(alpha), load=0.0),
+            State(u=u, alpha=alpha, alpha_lb=np.zeros_like(alpha)),
             problem, apply_bc=False)
 
     def res_a(u, alpha):
         return assemble_residual_alpha(
-            State(u=u, alpha=alpha, alpha_lb=np.zeros_like(alpha), load=0.0),
+            State(u=u, alpha=alpha, alpha_lb=np.zeros_like(alpha)),
             problem)
 
     worst = 0.0

@@ -1,0 +1,26 @@
+"""The package's public surface: an explicit ``__all__`` with no stale names."""
+
+import phasefrac
+import phasefrac.linalg
+import phasefrac.vi
+
+
+def test_every_exported_name_resolves():
+    assert len(set(phasefrac.__all__)) == len(phasefrac.__all__)
+    for name in phasefrac.__all__:
+        assert hasattr(phasefrac, name), name
+
+
+def test_exports_are_the_public_imports():
+    public = {n for n in vars(phasefrac) if not n.startswith("_")}
+    modules = {"cases", "cli", "fem", "linalg", "mesh", "model", "runio", "solver", "vi"}
+    assert public - modules == set(phasefrac.__all__) - {"__version__"}
+
+
+def test_retired_names_are_gone():
+    for name in ("VIConfig", "stationary_precond", "inner_cg"):
+        assert name not in phasefrac.__all__
+        assert not hasattr(phasefrac, name)
+    assert not hasattr(phasefrac.vi, "VIConfig")
+    assert not hasattr(phasefrac.linalg, "stationary_precond")
+    assert not hasattr(phasefrac.linalg, "inner_cg")

@@ -18,18 +18,18 @@ from phasefrac.fem import (DirichletBC, Discretization, State, apply_dirichlet,
                            assemble_energy, assemble_Kaa, assemble_Kua,
                            assemble_Kuu, assemble_load_u,
                            assemble_residual_alpha, assemble_residual_u,
-                           combine_bcs, eliminate_dirichlet)
+                           combine_bcs, eliminate_dirichlet, impose_dirichlet)
 from phasefrac.mesh import boundary_dofs, rect_mesh
 from phasefrac.model import C_W, Material
 
 
 def energy_of_u(problem, state, u):
-    s = State(u=u, alpha=state.alpha, alpha_lb=state.alpha_lb, load=0.0)
+    s = State(u=u, alpha=state.alpha, alpha_lb=state.alpha_lb)
     return assemble_energy(s, problem).total
 
 
 def energy_of_alpha(problem, state, alpha):
-    s = State(u=state.u, alpha=alpha, alpha_lb=np.zeros_like(alpha), load=0.0)
+    s = State(u=state.u, alpha=alpha, alpha_lb=np.zeros_like(alpha))
     return assemble_energy(s, problem).total
 
 
@@ -163,7 +163,8 @@ class TestHessianBlocks:
         K = assemble_Kuu(state, problem, apply_bc=False)
         fixed = np.concatenate([boundary_dofs(mesh, "left", "displacement_x1"),
                                 boundary_dofs(mesh, "bottom", "displacement_x2")])
-        K = eliminate_dirichlet(K, fixed)
+        problem.bc = DirichletBC(fixed, np.zeros(fixed.size))
+        K = eliminate_dirichlet(K, problem)
         eigs = np.linalg.eigvalsh(K.toarray())
         assert eigs.min() > 0.0
 
@@ -172,7 +173,7 @@ class TestHessianBlocks:
         state = random_feasible_state(tiny_problem, rng)
 
         def F(u):
-            s = State(u=u, alpha=state.alpha, alpha_lb=state.alpha_lb, load=0.0)
+            s = State(u=u, alpha=state.alpha, alpha_lb=state.alpha_lb)
             return assemble_residual_u(s, tiny_problem, apply_bc=False)
 
         K = assemble_Kuu(state, tiny_problem, apply_bc=False).toarray()
@@ -197,7 +198,7 @@ class TestHessianBlocks:
         state = random_feasible_state(tiny_problem, rng)
 
         def F(alpha):
-            s = State(u=state.u, alpha=alpha, alpha_lb=state.alpha_lb, load=0.0)
+            s = State(u=state.u, alpha=alpha, alpha_lb=state.alpha_lb)
             return assemble_residual_u(s, tiny_problem, apply_bc=False)
 
         B = assemble_Kua(state, tiny_problem, apply_bc=False).toarray()
@@ -214,7 +215,7 @@ class TestHessianBlocks:
         state = random_feasible_state(tiny_problem, rng)
 
         def F(alpha):
-            s = State(u=state.u, alpha=alpha, alpha_lb=state.alpha_lb, load=0.0)
+            s = State(u=state.u, alpha=alpha, alpha_lb=state.alpha_lb)
             return assemble_residual_alpha(s, tiny_problem)
 
         K = assemble_Kaa(state, tiny_problem).toarray()
@@ -227,7 +228,7 @@ class TestHessianBlocks:
         r0 = assemble_residual_alpha(state, tiny_problem)
         c = r0 - K @ state.alpha
         other = rng.uniform(0.0, 1.0, state.alpha.size)
-        s2 = State(u=state.u, alpha=other, alpha_lb=state.alpha_lb, load=0.0)
+        s2 = State(u=state.u, alpha=other, alpha_lb=state.alpha_lb)
         r2 = assemble_residual_alpha(s2, tiny_problem)
         assert np.allclose(r2, K @ other + c, rtol=1e-10, atol=1e-12)
 
@@ -242,41 +243,67 @@ class TestHessianBlocks:
 
 
 class TestDirichlet:
-    def test_identity_system(self):
-        import scipy.sparse as sp
-        K = sp.eye(3, format="csr")
-        rhs = np.array([1.0, 2.0, 3.0])
-        bc = DirichletBC(np.array([0]), np.array([5.0]))
-        K2, rhs2 = apply_dirichlet(K, rhs, bc)
+    @staticmethod
+    def clamped(small_material, values, seed=14):
+        """3x3-vertex square clamped on the left (x1) and bottom (x2) edges;
+        returns the problem and its Kuu at a random partly damaged state."""
+        problem = Discretization(rect_mesh(1.0, 1.0, 0.5), small_material)
+        mesh = problem.mesh
+        fixed = np.concatenate([boundary_dofs(mesh, "left", "displacement_x1"),
+                                boundary_dofs(mesh, "bottom", "displacement_x2")])
+        problem.bc = DirichletBC(fixed, values(fixed.size))
+        state = State.zeros(mesh)
+        rng = np.random.default_rng(seed)
+        state.alpha = rng.uniform(0.0, 0.5, problem.n_vertices)
+        state.u = rng.standard_normal(problem.n_udofs)
+        return problem, assemble_Kuu(state, problem, apply_bc=False)
+
+    def test_identity_system(self, small_material):
+        # dof 0 is the x1 component of the corner vertex at the origin
+        problem, K = self.clamped(small_material, lambda n: np.r_[5.0, np.zeros(n - 1)])
+        assert problem.bc.dofs[0] == 0
+        K2, rhs2 = apply_dirichlet(K, np.ones(problem.n_udofs), problem)
         x = np.linalg.solve(K2.toarray(), rhs2)
         assert x[0] == pytest.approx(5.0, rel=1e-15)
 
-    def test_symmetry_preserved(self):
-        import scipy.sparse as sp
-        rng = np.random.default_rng(14)
-        A = rng.standard_normal((6, 6))
-        K = sp.csr_matrix(A @ A.T + 6 * np.eye(6))
-        bc = DirichletBC(np.array([1, 4]), np.array([2.0, -1.0]))
-        K2, _ = apply_dirichlet(K, np.zeros(6), bc)
+    def test_symmetry_preserved(self, small_material):
+        problem, K = self.clamped(small_material, lambda n: np.linspace(2.0, -1.0, n))
+        assert abs(K - K.T).max() == 0.0
+        K2, _ = apply_dirichlet(K, np.zeros(problem.n_udofs), problem)
         K2 = K2.toarray()
         assert np.max(np.abs(K2 - K2.T)) == 0.0
 
-    def test_solution_matches_dense_oracle(self):
-        import scipy.sparse as sp
+    def test_solution_matches_dense_oracle(self, small_material):
         rng = np.random.default_rng(15)
-        A = rng.standard_normal((6, 6))
-        K = A @ A.T + 6 * np.eye(6)
-        rhs = rng.standard_normal(6)
-        fixed = np.array([0, 3])
-        vals = np.array([1.5, -0.5])
+        problem, Ks = self.clamped(small_material, lambda n: rng.standard_normal(n), seed=15)
+        K = Ks.toarray()
+        n = problem.n_udofs
+        rhs = rng.standard_normal(n)
+        fixed, vals = problem.bc.dofs, problem.bc.values
         # oracle: solve the free block with the fixed columns moved to the rhs
-        free = np.setdiff1d(np.arange(6), fixed)
-        x = np.zeros(6)
+        free = np.setdiff1d(np.arange(n), fixed)
+        x = np.zeros(n)
         x[fixed] = vals
         x[free] = np.linalg.solve(K[np.ix_(free, free)],
                                   rhs[free] - K[np.ix_(free, fixed)] @ vals)
-        K2, rhs2 = apply_dirichlet(sp.csr_matrix(K), rhs, DirichletBC(fixed, vals))
+        K2, rhs2 = apply_dirichlet(Ks, rhs, problem)
         assert np.allclose(np.linalg.solve(K2.toarray(), rhs2), x, rtol=1e-12)
+
+    def test_no_boundary_data_leaves_the_system(self, small_material):
+        problem, K = self.clamped(small_material, np.zeros)
+        problem.bc = None
+        rhs = np.ones(problem.n_udofs)
+        K2, rhs2 = apply_dirichlet(K, rhs, problem)
+        assert K2 is K and rhs2 is rhs
+
+    def test_impose_sets_the_constrained_dofs(self, small_material):
+        problem, _ = self.clamped(small_material, lambda n: np.arange(1.0, n + 1))
+        state = State.zeros(problem.mesh)
+        state.u[:] = -7.0
+        impose_dirichlet(state, problem)
+        assert np.array_equal(state.u[problem.bc.dofs], problem.bc.values)
+        free = np.setdiff1d(np.arange(problem.n_udofs), problem.bc.dofs)
+        assert np.all(state.u[free] == -7.0)
 
     def test_conflicting_values_rejected(self):
         with pytest.raises(ValueError):
@@ -341,7 +368,7 @@ class TestFixedPattern:
         full = assemble_Kuu(state, problem, apply_bc=False)
         for oracle in (diag_product_elimination(coo_hessian_blocks(state, problem)[0],
                                                 problem.bc.dofs),
-                       eliminate_dirichlet(full, problem.bc.dofs)):
+                       eliminate_dirichlet(full, problem)):
             assert np.array_equal(K.indptr, oracle.indptr)
             assert np.array_equal(K.indices, oracle.indices)
 
@@ -363,11 +390,28 @@ class TestFixedPattern:
             self._close(assemble_Kua(state, problem, apply_bc=True),
                         diag_product_elimination(Kua, bc.dofs, columns=False))
             K, rhs = apply_dirichlet(assemble_Kuu(state, problem, apply_bc=False),
-                                     np.ones(problem.n_udofs), bc,
-                                     problem.dirichlet_elimination("uu"))
-            K0, rhs0 = apply_dirichlet(Kuu, np.ones(problem.n_udofs), bc)
+                                     np.ones(problem.n_udofs), problem)
+            g = np.zeros(problem.n_udofs)
+            g[bc.dofs] = bc.values
+            rhs0 = np.ones(problem.n_udofs) - Kuu @ g
+            rhs0[bc.dofs] = bc.values
+            K0 = diag_product_elimination(Kuu, bc.dofs)
             self._close(K, K0)
             assert np.allclose(rhs, rhs0, rtol=1e-13, atol=0.0)
+
+    def test_matrix_off_the_pattern_is_rejected(self, problem):
+        # the COO oracle keeps the entries that vanish in every element, so
+        # its entry count differs from the pattern's
+        state = random_feasible_state(problem, np.random.default_rng(7))
+        problem.bc = self._bcs(problem.mesh)[0]
+        Kuu, Kua, _ = coo_hessian_blocks(state, problem)
+        assert Kuu.nnz != problem.pattern("uu").nnz
+        with pytest.raises(ValueError, match="pattern"):
+            eliminate_dirichlet(Kuu, problem)
+        with pytest.raises(ValueError, match="pattern"):
+            apply_dirichlet(Kuu, np.ones(problem.n_udofs), problem)
+        with pytest.raises(ValueError, match="pattern"):
+            eliminate_dirichlet(Kua[:, :-1], problem, "ua")
 
     def test_construction_builds_no_pattern(self, small_material, monkeypatch):
         built = []

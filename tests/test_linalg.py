@@ -6,13 +6,13 @@ import scipy.sparse as sp
 
 from conftest import random_spd
 
-from phasefrac.cases import setup_surfing
+from phasefrac.cases import run_quasistatic, setup_surfing
 from phasefrac.fem import State, assemble_Kuu
-from phasefrac.linalg import (BlockJacobian, FieldSplitPreconditioner,
+from phasefrac.linalg import (STATIONARY, BlockJacobian, FieldSplitPreconditioner,
                               SingularOperatorError, _find_zero_pivot,
                               cg_solve, direct_factorize, extract_submatrix,
-                              inner_cg, inner_direct, minres_solve,
-                              stationary_precond)
+                              inner_chebyshev, inner_direct, minres_solve)
+from phasefrac.solver import SolverConfig, inactive_block_jacobian
 
 
 def laplacian_1d(n: int) -> sp.csr_matrix:
@@ -36,7 +36,7 @@ class TestCG:
     def test_diagonal_with_jacobi(self):
         A = sp.diags([1.0, 100.0]).tocsr()
         x, rep = cg_solve(A, np.array([1.0, 1.0]),
-                          precond=stationary_precond(A, "jacobi"))
+                          precond=STATIONARY["jacobi"](A))
         assert np.allclose(x, [1.0, 0.01], rtol=1e-10)
         assert rep.iterations <= 2
 
@@ -265,24 +265,47 @@ class TestFieldSplit:
         assert np.allclose(J.to_csr() @ x_pre, b, atol=1e-8)
         assert rep_pre.iterations <= rep_raw.iterations
 
-    def test_inexact_inner_cg_still_works(self):
+    def test_inexact_inner_chebyshev_still_works(self):
         rng = np.random.default_rng(14)
         _, _, _, J = self.make_block(rng, nu=20, na=12, coupling=0.05)
-        P = FieldSplitPreconditioner(J, inner_cg(J.A, budget=5), inner_cg(J.C, budget=5))
+        P = FieldSplitPreconditioner(J, inner_chebyshev(J.A, degree=5),
+                                     inner_chebyshev(J.C, degree=5))
         b = rng.standard_normal(32)
         x, rep = minres_solve(J, b, precond=P, rtol=1e-8, maxit=1000)
         assert rep.converged
         assert np.allclose(J.to_csr() @ x, b, atol=1e-6)
 
+    def test_inexact_inner_solve_is_linear_and_symmetric(self):
+        # MINRES needs one fixed SPD preconditioner; a fixed budget of CG
+        # from zero depends nonlinearly on the right-hand side
+        setup = setup_surfing(h=0.05, n_steps=4)
+        records = run_quasistatic(setup, SolverConfig(method="am", omega=1.6))
+        state = State(records[-1].u, records[-1].alpha, records[-2].alpha)
+        J, iu, ia = inactive_block_jacobian(state, setup.problem)
+        assert iu.size and ia.size
+        rng = np.random.default_rng(17)
+        for M in (J.A, J.C):
+            P = inner_chebyshev(M, degree=5)
+            b1, b2 = rng.standard_normal((2, M.shape[0]))
+            scale = np.linalg.norm(P(b1)) + np.linalg.norm(P(b2))
+            assert np.linalg.norm(P(b1 + b2) - P(b1) - P(b2)) <= 1e-13 * scale
+            assert b1 @ P(b2) == pytest.approx(b2 @ P(b1), rel=1e-12)
+            assert b1 @ P(b1) > 0.0
+
+    def test_empty_block_inner_solves(self):
+        empty = sp.csr_matrix((0, 0))
+        for inner in (inner_direct(empty), inner_chebyshev(empty)):
+            assert inner(np.zeros(0)).shape == (0,)
+
 
 class TestStationaryPreconditioners:
     def test_jacobi_divides_by_diagonal(self):
         A = sp.diags([2.0, 4.0]).tocsr()
-        M = stationary_precond(A, "jacobi")
+        M = STATIONARY["jacobi"](A)
         assert np.allclose(M.matvec(np.array([2.0, 4.0])), [1.0, 1.0], rtol=1e-15)
 
     def test_ssor_identity_is_identity(self):
-        M = stationary_precond(sp.eye(5, format="csr"), "ssor")
+        M = STATIONARY["ssor"](sp.eye(5, format="csr"))
         r = np.arange(5.0)
         assert np.allclose(M.matvec(r), r, rtol=1e-14)
 
@@ -290,9 +313,9 @@ class TestStationaryPreconditioners:
         A = laplacian_1d(100)
         b = np.ones(100)
         budget = 30
-        _, rj = cg_solve(A, b, precond=stationary_precond(A, "jacobi"),
+        _, rj = cg_solve(A, b, precond=STATIONARY["jacobi"](A),
                          rtol=0.0, atol=1e-30, maxit=budget)
-        _, rc = cg_solve(A, b, precond=stationary_precond(A, "chebyshev", degree=3),
+        _, rc = cg_solve(A, b, precond=STATIONARY["chebyshev"](A, degree=3),
                          rtol=0.0, atol=1e-30, maxit=budget)
         assert rc.final_residual_norm < rj.final_residual_norm
 
@@ -300,7 +323,7 @@ class TestStationaryPreconditioners:
         rng = np.random.default_rng(15)
         A = sp.csr_matrix(random_spd(rng, 12))
         for kind in ("jacobi", "ssor", "chebyshev"):
-            M = stationary_precond(A, kind)
+            M = STATIONARY[kind](A)
             r = rng.standard_normal(12)
             s = rng.standard_normal(12)
             assert r @ M.matvec(s) == pytest.approx(s @ M.matvec(r), abs=1e-10)
@@ -315,7 +338,8 @@ class TestBlockJacobian:
         B = sp.csr_matrix(rng.standard_normal((5, 3)))
         J = BlockJacobian(A, B, C)
         x = rng.standard_normal(8)
-        assert np.allclose(J.matvec(x), J.to_csr() @ x, rtol=1e-14)
+        assert np.allclose(J @ x, J.to_csr() @ x, rtol=1e-14)
+        assert J.T is J
         assert J.shape == (8, 8)
         assert J.nu == 5 and J.na == 3
 

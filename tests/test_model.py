@@ -103,6 +103,14 @@ class TestCriticalLoads:
         assert critical_shock(m) == pytest.approx(critical_traction(m), rel=1e-15)
         assert critical_shock(m) == pytest.approx(0.6123724356957945, rel=1e-15)
 
+    def test_shock_threshold_with_stiffness_not_one(self):
+        # t_c is a strain, so dT_c = t_c/beta; t_c/(E beta) would give 0.121
+        m = Material(E=4.0, beta=2.0)
+        t_c = (3.0 / (8.0 * 4.0 * 0.1)) ** 0.5
+        assert critical_traction(m) == pytest.approx(t_c, rel=1e-15)
+        assert critical_shock(m) == pytest.approx(t_c / 2.0, rel=1e-15)
+        assert critical_shock(m) == pytest.approx(0.4841229182759271, rel=1e-15)
+
     def test_shock_scales_inverse_beta(self):
         m1 = Material(ell=1.0, beta=1.0)
         m2 = Material(ell=1.0, beta=2.0)

@@ -77,6 +77,15 @@ class TestParsing:
         with pytest.raises(ConfigError, match="method"):
             parse_config(f"[solver]\nmethod = {method}\nomega = 1.3\n")
 
+    def test_cg_inner_solve_retired(self):
+        # the inexact field-split inner solve is a Chebyshev polynomial now
+        with pytest.raises(ConfigError, match="fieldsplit_inner"):
+            parse_config("[linear]\nfieldsplit_inner = cg\n")
+        with pytest.raises(ConfigError, match="fieldsplit_cg_budget"):
+            parse_config("[linear]\nfieldsplit_cg_budget = 5\n")
+        cfg = parse_config("[linear]\nfieldsplit_inner = chebyshev\nfieldsplit_degree = 3\n")
+        assert (cfg.solver.fieldsplit_inner, cfg.solver.fieldsplit_degree) == ("chebyshev", 3)
+
     def test_am_takes_a_relaxation_weight(self):
         cfg = parse_config("[solver]\nmethod = am\nomega = 1.3\n")
         assert (cfg.solver.method, cfg.solver.omega) == ("am", 1.3)
@@ -140,7 +149,7 @@ def run_configs(draw):
         outer_atol=draw(positive), am_rtol=draw(positive),
         elastic_rtol=draw(positive), fieldsplit_rtol=draw(positive),
         max_am_iterations=draw(counts), max_newton_iterations=draw(counts),
-        max_outer_cycles=draw(counts), fieldsplit_cg_budget=draw(counts))
+        max_outer_cycles=draw(counts), fieldsplit_degree=draw(counts))
     return RunConfig(
         name=draw(st.sampled_from(CHOICE_KEYS["name"])),
         **{key: draw(positive) for key in ("ell", "h", "L", "H", "E", "Gc", "beta",
@@ -376,6 +385,19 @@ class TestCommandLine:
         assert not (tmp_path / "a").exists()
         assert (tmp_path / "b" / "energies.csv").exists()
         assert not list((tmp_path / "b").glob("*.vtk"))
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "x.ini", "--threads", "4"],
+        ["validate", "x.ini", "--snapshot-stride", "7"],
+        ["validate", "x.ini", "--output-dir", "elsewhere"],
+        ["run", "x.ini", "--threads", "4"],
+        ["sweep", "x.ini", "--snapshot-stride", "0"]])
+    def test_flag_of_another_subcommand_exits_2(self, argv, capsys):
+        # each flag is registered only where it takes effect
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert argv[2] in capsys.readouterr().err
 
     def test_config_error_exits_2(self, tmp_path):
         cfgfile = self.write(tmp_path, "[solver]\nmethod = am\nomega = 2.5\n")

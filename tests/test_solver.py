@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from phasefrac.cases import StepFailureError, run_quasistatic, setup_traction
-from phasefrac.fem import State, apply_dirichlet, assemble_energy, assemble_Kuu, assemble_load_u
+from phasefrac.fem import (State, apply_dirichlet, assemble_energy, assemble_Kuu, assemble_load_u,
+                           impose_dirichlet)
 from phasefrac.model import Material
 from phasefrac.linalg import BlockJacobian
 from phasefrac.solver import (SolverConfig, _make_coupled_linear_solver,
@@ -26,7 +27,6 @@ def loaded_state(setup, factor):
     state = State.zeros(setup.mesh)
     t = factor * setup.params["critical_traction"]
     setup.apply_load(setup.problem, state, t)
-    state.load = t
     return state
 
 
@@ -69,7 +69,7 @@ class TestElasticStep:
         u, _ = elastic_step(state, traction.problem, SolverConfig())
         K = assemble_Kuu(state, traction.problem, apply_bc=False)
         f = assemble_load_u(state, traction.problem)
-        Kb, fb = apply_dirichlet(K, f, traction.problem.bc)
+        Kb, fb = apply_dirichlet(K, f, traction.problem)
         assert np.allclose(u, np.linalg.solve(Kb.toarray(), fb), rtol=1e-9)
 
     def test_cg_backend_agrees_with_direct(self, traction):
@@ -86,7 +86,7 @@ class TestElasticStep:
         state = loaded_state(traction, 0.4)
         u, _ = elastic_step(state, traction.problem, SolverConfig())
         v = traction.mesh.vertices
-        t = state.load
+        t = 0.4 * traction.params["critical_traction"]
         assert np.allclose(u[0::2], t * v[:, 0], atol=1e-10)
         assert np.allclose(u[1::2], -MAT.nu * t * v[:, 1], atol=1e-10)
 
@@ -206,17 +206,26 @@ class TestResidualAndBlocks:
         r = first_order_residual(state, traction.problem)
         nu = traction.problem.n_udofs
         assert r.size == nu + traction.mesh.n_vertices
-        # boundary rows are zeroed in the displacement half after a solve
+        # the displacement half vanishes after a solve, boundary rows included
         state.u, _ = elastic_step(state, traction.problem, SolverConfig())
         r = first_order_residual(state, traction.problem)
         assert np.max(np.abs(r[:nu])) <= 1e-10
 
+    def test_dirichlet_rows_carry_the_boundary_mismatch(self, traction):
+        state = loaded_state(traction, 0.4)
+        bc = traction.problem.bc
+        r = first_order_residual(state, traction.problem)
+        assert np.any(bc.values != 0.0)
+        assert np.array_equal(r[bc.dofs], state.u[bc.dofs] - bc.values)
+        impose_dirichlet(state, traction.problem)
+        assert np.all(first_order_residual(state, traction.problem)[bc.dofs] == 0.0)
+
     def test_residual_grows_with_load(self, traction):
-        # a fresh state carries the load only in the boundary data, whose
-        # rows are zeroed by convention; snap the boundary values first
+        # impose the boundary values first, so that the residual measures the
+        # interior response rather than the boundary mismatch
         def snapped(factor):
             state = loaded_state(traction, factor)
-            state.u[traction.problem.bc.dofs] = traction.problem.bc.values
+            impose_dirichlet(state, traction.problem)
             return residual_norm(state, traction.problem)
 
         lo, hi = snapped(0.2), snapped(0.8)
@@ -233,7 +242,7 @@ class TestResidualAndBlocks:
         # the block operator is symmetric
         x = np.random.default_rng(1).standard_normal(iu.size + ia.size)
         y = np.random.default_rng(2).standard_normal(iu.size + ia.size)
-        assert x @ J.matvec(y) == pytest.approx(y @ J.matvec(x), rel=1e-10)
+        assert x @ (J @ y) == pytest.approx(y @ (J @ x), rel=1e-10)
 
 
 class TestCoupledNewton:

@@ -3,11 +3,25 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, strategies as st
 
 from conftest import qp_enumerate, random_spd
 
-from phasefrac.vi import (MCProblem, VIConfig, classify_active, fb_composite,
+from phasefrac.vi import (MCProblem, classify_active, fb_composite,
                           fb_phi, mcp_residual, rsls_solve)
+
+
+@st.composite
+def boxed_points(draw, max_size=30):
+    """(x, F, lower, upper): rows bounded below by 0 or not, above by 1 or
+    not, with x inside its bounds and F of either sign (zero included)."""
+    rows = draw(st.lists(st.tuples(st.booleans(), st.booleans(),
+                                   st.floats(-0.2, 1.2), st.floats(-3.0, 3.0)),
+                         min_size=1, max_size=max_size))
+    lo, up, x, F = (np.array(c) for c in zip(*rows))
+    lower = np.where(lo, 0.0, -np.inf)
+    upper = np.where(up, 1.0, np.inf)
+    return np.clip(x, lower, upper), F.astype(float), lower, upper
 
 
 def qp_problem(H, c, lower, upper):
@@ -24,19 +38,18 @@ class TestFischerBurmeister:
         assert fb_phi(3.0, 4.0) == pytest.approx(-2.0, abs=1e-14)
         assert fb_phi(-1.0, 0.0) == pytest.approx(2.0, abs=1e-14)
 
-    def test_zero_iff_complementarity(self):
-        # phi(a, b) = 0 exactly when a >= 0, b >= 0, ab = 0
-        pts = [(0.0, 0.0), (0.0, 5.0), (7.0, 0.0)]
-        for a, b in pts:
+    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+    @example(0.0, 0.0)
+    @example(0.0, 5.0)
+    @example(7.0, 0.0)
+    def test_zero_iff_complementarity(self, a, b):
+        # phi(a, b) = 0 exactly when a >= 0, b >= 0, ab = 0; for a, b >= 0,
+        # |phi| <= min(a, b), so "ab = 0" is judged by min(a, b), not by ab
+        comp = a >= 0 and b >= 0 and min(a, b) <= 1e-15
+        if comp:
             assert abs(fb_phi(a, b)) <= 1e-12
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            a, b = rng.uniform(-3, 3, size=2)
-            comp = a >= 0 and b >= 0 and abs(a * b) <= 1e-15
-            if comp:
-                assert abs(fb_phi(a, b)) <= 1e-12
-            elif abs(fb_phi(a, b)) <= 1e-12:
-                assert a >= -1e-10 and b >= -1e-10 and abs(a * b) <= 1e-10
+        elif abs(fb_phi(a, b)) <= 1e-12:
+            assert a >= -1e-10 and b >= -1e-10 and abs(a * b) <= 1e-10
 
     def test_composite_one_sided_matches_simple(self):
         # with upper = +inf the two-sided residual reduces to phi(x-l, F)
@@ -107,16 +120,21 @@ class TestClassifyActive:
         part = classify_active(x, F, np.zeros(1), np.full(1, np.inf), zeta=1e-10)
         assert list(part.inactive) == [0]
 
-    def test_partition_is_exhaustive_and_disjoint(self):
-        rng = np.random.default_rng(3)
-        n = 30
-        lower = np.where(rng.random(n) < 0.7, 0.0, -np.inf)
-        upper = np.where(rng.random(n) < 0.7, 1.0, np.inf)
-        x = np.clip(rng.uniform(-0.2, 1.2, n), lower, upper)
-        F = rng.standard_normal(n)
+    @given(boxed_points())
+    def test_partition_is_exhaustive_and_disjoint(self, point):
+        x, F, lower, upper = point
         part = classify_active(x, F, lower, upper, zeta=1e-9)
         all_idx = np.sort(np.concatenate([part.lower, part.upper, part.inactive]))
-        assert np.array_equal(all_idx, np.arange(n))
+        assert np.array_equal(all_idx, np.arange(x.size))
+
+    @given(boxed_points(), st.floats(0.0, 10.0))
+    def test_infinite_bounds_are_never_active(self, point, zeta):
+        x, F, lower, upper = point
+        part = classify_active(x, F, lower, upper, zeta=zeta)
+        assert np.all(np.isfinite(lower[part.lower]))
+        assert np.all(np.isfinite(upper[part.upper]))
+        free = np.flatnonzero(np.isinf(lower) & np.isinf(upper))
+        assert np.isin(free, part.inactive).all()
 
 
 class TestRSLS:
@@ -208,10 +226,10 @@ class TestRSLS:
         H[0, 0] = np.nan
         p = MCProblem(residual=lambda x: x - 0.5, jacobian=lambda x: H.tocsr(),
                       lower=np.zeros(n), upper=np.ones(n))
-        _, rep = rsls_solve(p, np.full(n, 0.25), config=VIConfig(max_iterations=2))
+        _, rep = rsls_solve(p, np.full(n, 0.25), max_iterations=2)
         assert rep.linear_failures >= 1
 
     def test_config_knobs_respected(self):
         p = qp_problem(np.eye(1), np.array([-2.0]), [0.0], [np.inf])
-        _, rep = rsls_solve(p, np.array([0.0]), config=VIConfig(max_iterations=1))
+        _, rep = rsls_solve(p, np.array([0.0]), max_iterations=1)
         assert rep.iterations <= 1
