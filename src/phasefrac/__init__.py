@@ -35,7 +35,7 @@ from .fem import (DirichletBC, Discretization, EnergyBreakdown, State,
                   assemble_residual_u, combine_bcs, eliminate_dirichlet,
                   impose_dirichlet)
 from .linalg import (BlockJacobian, BreakdownError, ChebyshevPreconditioner,
-                     FieldSplitPreconditioner, InnerSolverError,
+                     FieldSplitPreconditioner,
                      JacobiPreconditioner, LinearSolveReport,
                      LinearSolverError, SingularOperatorError,
                      SSORPreconditioner, STATIONARY, cg_solve,
@@ -68,7 +68,7 @@ __all__ = [
     "combine_bcs", "eliminate_dirichlet", "impose_dirichlet",
     # linalg
     "BlockJacobian", "BreakdownError", "ChebyshevPreconditioner",
-    "FieldSplitPreconditioner", "InnerSolverError", "JacobiPreconditioner",
+    "FieldSplitPreconditioner", "JacobiPreconditioner",
     "LinearSolveReport", "LinearSolverError", "SingularOperatorError",
     "SSORPreconditioner", "STATIONARY", "cg_solve", "direct_factorize",
     "extract_submatrix", "inner_chebyshev", "inner_direct", "minres_solve",

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -29,20 +28,7 @@ class BreakdownError(LinearSolverError):
 
 
 class SingularOperatorError(LinearSolverError):
-    """Exact zero pivot during factorization."""
-
-    def __init__(self, message: str, pivot: int = -1):
-        super().__init__(message)
-        self.pivot = pivot
-
-
-class InnerSolverError(LinearSolverError):
-    """Failure of an inner field-split solve, carrying the block identity."""
-
-    def __init__(self, block: str, cause: Exception):
-        super().__init__(f"inner solve on block {block!r} failed: {cause}")
-        self.block = block
-        self.cause = cause
+    """Exact zero pivot, or a non-finite entry, in a matrix to factorize."""
 
 
 @dataclass
@@ -141,7 +127,7 @@ def cg_solve(A, b: np.ndarray, precond=None, rtol: float = 1e-10,
 
 
 def minres_solve(A, b: np.ndarray, precond=None, rtol: float = 1e-8,
-                 atol: float = 0.0, maxit: Optional[int] = None):
+                 maxit: Optional[int] = None):
     """MINRES for symmetric (possibly indefinite) systems, x0 = 0.
 
     ``precond`` (``None`` is the identity) must be symmetric positive definite;
@@ -160,7 +146,7 @@ def minres_solve(A, b: np.ndarray, precond=None, rtol: float = 1e-8,
     beta1 = np.sqrt(beta1)
     if beta1 == 0.0:
         return x, LinearSolveReport(0, 0.0, True)
-    target = max(rtol * beta1, atol)
+    target = rtol * beta1
 
     oldb = 0.0
     beta = beta1
@@ -221,26 +207,6 @@ class DirectFactorization:
         return self._lu.solve(np.asarray(b, dtype=float))
 
 
-def _find_zero_pivot(A) -> int:
-    """Best-effort pivot index of a singular matrix (dense LU for small n).
-
-    Returns -1 when no index can be named; never raises, so that the caller's
-    SingularOperatorError is the error that reaches the user.
-    """
-    n = A.shape[0]
-    if n > 2000:
-        return -1
-    try:
-        dense = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
-        _, _, U = scipy.linalg.lu(dense)
-        diag = np.abs(np.diag(U))
-        zero = np.flatnonzero(diag <= diag.max() * np.finfo(float).eps * n if diag.max() > 0
-                              else diag <= 0)
-    except Exception:  # noqa: BLE001 - a pivot index is only a diagnostic
-        return -1
-    return int(zero[0]) if zero.size else -1
-
-
 def direct_factorize(A, spd: bool = True) -> DirectFactorization:
     """Sparse LU; an exact zero pivot or a non-finite entry raises.
 
@@ -262,10 +228,7 @@ def direct_factorize(A, spd: bool = True) -> DirectFactorization:
         else:
             lu = spla.splu(A_csc)
     except RuntimeError as exc:
-        pivot = _find_zero_pivot(A_csc)
-        raise SingularOperatorError(
-            f"singular matrix in LU factorization (zero pivot at index {pivot}): {exc}",
-            pivot=pivot) from exc
+        raise SingularOperatorError(f"singular matrix in LU factorization: {exc}") from exc
     return DirectFactorization(lu)
 
 
@@ -309,26 +272,21 @@ class JacobiPreconditioner:
 
 
 class SSORPreconditioner:
-    """Symmetric SOR: M = 1/(2-w) (D/w + L) (D/w)^-1 (D/w + L^T)."""
+    """Symmetric Gauss-Seidel (SSOR at w = 1): M = (D + L) D^-1 (D + L^T)."""
 
-    def __init__(self, A, omega: float = 1.0):
-        if not 0.0 < omega < 2.0:
-            raise ValueError(f"ssor relaxation must lie in (0, 2), got {omega}")
+    def __init__(self, A):
         A = sp.csr_matrix(A)
         d = np.asarray(A.diagonal(), dtype=float)
         if np.any(d == 0):
             raise ValueError("ssor preconditioner needs a nonzero diagonal")
-        self._domega = d / omega
-        self._lower = (sp.tril(A, -1) + sp.diags(self._domega)).tocsr()
-        self._upper = (sp.triu(A, 1) + sp.diags(self._domega)).tocsr()
-        self._scale = 2.0 - omega
+        self._d = d
+        self._lower = (sp.tril(A, -1) + sp.diags(d)).tocsr()
+        self._upper = (sp.triu(A, 1) + sp.diags(d)).tocsr()
         self.shape = A.shape
 
     def matvec(self, r: np.ndarray) -> np.ndarray:
         t = spla.spsolve_triangular(self._lower, r, lower=True)
-        t = self._domega * t
-        z = spla.spsolve_triangular(self._upper, t, lower=False)
-        return self._scale * z
+        return spla.spsolve_triangular(self._upper, self._d * t, lower=False)
 
 
 class ChebyshevPreconditioner:
@@ -336,10 +294,10 @@ class ChebyshevPreconditioner:
 
     A linear SPD operator approximating A^-1 on the interval
     [lambda_max/30, 1.1 lambda_max], with lambda_max of D^-1 A estimated by
-    deterministic power iteration at construction.
+    30 steps of deterministic power iteration at construction.
     """
 
-    def __init__(self, A, degree: int = 3, power_iterations: int = 30):
+    def __init__(self, A, degree: int = 3):
         if degree < 1:
             raise ValueError("chebyshev degree must be >= 1")
         self._A = sp.csr_matrix(A)
@@ -351,7 +309,7 @@ class ChebyshevPreconditioner:
         v = 1.0 + np.arange(n) / max(n - 1, 1)  # deterministic, not A-orthogonal
         v /= np.linalg.norm(v)
         lam = 1.0
-        for _ in range(power_iterations):
+        for _ in range(30):
             w = self._dinv * (self._A @ v)
             lam = np.linalg.norm(w)
             if lam == 0.0:
@@ -397,9 +355,8 @@ class FieldSplitPreconditioner:
                 [-C^-1 B^T A^-1,               C^-1        ]]
 
     applied multiplicatively with one C-solve and two A-solves.  ``inner_a``
-    and ``inner_c`` are callables b -> x; their failures propagate tagged with
-    the block identity.  With linear symmetric inner solves the operator is
-    symmetric (and SPD when A and C are SPD).
+    and ``inner_c`` are callables b -> x.  With linear symmetric inner solves
+    the operator is symmetric (and SPD when A and C are SPD).
     """
 
     def __init__(self, block: BlockJacobian, inner_a: Callable, inner_c: Callable):
@@ -410,17 +367,11 @@ class FieldSplitPreconditioner:
         self._nu = block.nu
         self.shape = block.shape
 
-    def _solve(self, inner, b, tag):
-        try:
-            return inner(b)
-        except Exception as exc:  # noqa: BLE001 - re-tagged and re-raised
-            raise InnerSolverError(tag, exc) from exc
-
     def matvec(self, r: np.ndarray) -> np.ndarray:
         ru, ra = r[: self._nu], r[self._nu:]
-        y1 = self._solve(self._inner_a, ru, "A")
-        z = self._solve(self._inner_c, ra - self._Bt @ y1, "C")
-        xu = y1 - self._solve(self._inner_a, self._B @ z, "A")
+        y1 = self._inner_a(ru)
+        z = self._inner_c(ra - self._Bt @ y1)
+        xu = y1 - self._inner_a(self._B @ z)
         return np.concatenate([xu, z])
 
 

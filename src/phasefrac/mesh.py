@@ -110,7 +110,7 @@ def _grid(x_levels: np.ndarray, y_levels: np.ndarray) -> Mesh:
 
 
 def rect_mesh(L: float, H: float, h: float, origin_x2: float = 0.0,
-              jitter: float = 0.0, seed: int = 0) -> Mesh:
+              jitter: float = 0.0) -> Mesh:
     """Uniform mesh of ``[0, L] x [origin_x2, origin_x2 + H]`` with target size h.
 
     The actual element size is L/nx (resp. H/ny) with nx = round(L/h) >= 1, so
@@ -135,26 +135,25 @@ def rect_mesh(L: float, H: float, h: float, origin_x2: float = 0.0,
         v = mesh.vertices
         interior = ((v[:, 0] > xs[0]) & (v[:, 0] < xs[-1])
                     & (v[:, 1] > ys[0]) & (v[:, 1] < ys[-1]))
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         offsets = rng.uniform(-jitter, jitter, size=(int(interior.sum()), 2))
         v[interior] += offsets * np.array([L / nx, H / ny])
         _validate_orientation(mesh)
     return mesh
 
 
-def _graded_heights(start: float, span: float, h_fine: float, h_coarse: float,
-                    ratio: float = 1.3) -> np.ndarray:
+def _graded_heights(start: float, span: float, h_fine: float, h_coarse: float) -> np.ndarray:
     """Row heights filling ``span``, growing geometrically from h_fine.
 
     Heights are capped at h_coarse and rescaled (shrink only) so they tile the
-    span exactly; the growth ratio between neighbours never exceeds ``ratio``.
+    span exactly; the growth ratio between neighbours never exceeds 1.3.
     """
     if span <= 1e-12 * max(1.0, start):
         return np.zeros(0)
     heights = []
     h = h_fine
     while sum(heights) < span:
-        h = min(h * ratio, h_coarse)
+        h = min(h * 1.3, h_coarse)
         heights.append(h)
     heights = np.asarray(heights)
     return heights * (span / heights.sum())

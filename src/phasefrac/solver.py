@@ -418,6 +418,7 @@ def solve_load_step(state: State, problem: Discretization, config: SolverConfig,
         # boundary values instead creates a strain spike whose damage driving
         # force strands the merit line search.
         state.u, presolve_kit = elastic_step(state, problem, config)
+        impose_dirichlet(state, problem)   # an iterative presolve misses them by round-off
         new_state, nrep = coupled_newton_solve(state, problem, config, log=log)
         state.u, state.alpha = new_state.u, new_state.alpha
         return NonlinearReport(

@@ -18,9 +18,11 @@ def test_exports_are_the_public_imports():
 
 
 def test_retired_names_are_gone():
-    for name in ("VIConfig", "stationary_precond", "inner_cg"):
+    for name in ("VIConfig", "stationary_precond", "inner_cg", "InnerSolverError"):
         assert name not in phasefrac.__all__
         assert not hasattr(phasefrac, name)
     assert not hasattr(phasefrac.vi, "VIConfig")
     assert not hasattr(phasefrac.linalg, "stationary_precond")
     assert not hasattr(phasefrac.linalg, "inner_cg")
+    assert not hasattr(phasefrac.linalg, "InnerSolverError")
+    assert not hasattr(phasefrac.linalg, "_find_zero_pivot")

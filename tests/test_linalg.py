@@ -9,9 +9,9 @@ from conftest import random_spd
 from phasefrac.cases import run_quasistatic, setup_surfing
 from phasefrac.fem import State, assemble_Kuu
 from phasefrac.linalg import (STATIONARY, BlockJacobian, FieldSplitPreconditioner,
-                              SingularOperatorError, _find_zero_pivot,
-                              cg_solve, direct_factorize, extract_submatrix,
-                              inner_chebyshev, inner_direct, minres_solve)
+                              SingularOperatorError, cg_solve, direct_factorize,
+                              extract_submatrix, inner_chebyshev, inner_direct,
+                              minres_solve)
 from phasefrac.solver import SolverConfig, inactive_block_jacobian
 
 
@@ -159,11 +159,6 @@ class TestDirect:
         A[n - 1, n - 2] = np.inf
         with pytest.raises(SingularOperatorError):
             direct_factorize(A.tocsr(), spd=spd)
-
-    def test_zero_pivot_search_never_raises(self):
-        A = sp.csr_matrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
-        assert _find_zero_pivot(A) == -1
-        assert _find_zero_pivot(sp.csr_matrix((0, 0))) == -1
 
     def test_indefinite_kkt_with_partial_pivoting(self):
         # saddle point [[A, B], [B^T, 0]]: symmetric, indefinite, zero diagonal

@@ -54,6 +54,23 @@ class TestParsing:
         cfg = parse_config(minimal)
         assert cfg.name == "traction" and cfg.ell == 0.1
 
+    def test_readme_grammar_lists_every_key(self):
+        # the grammar block is not INI: take the names left of "=", split on ","
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        grammar = readme.split("```ini\n")[2].split("```", 1)[0]
+
+        def keys(text):
+            found, section = set(), None
+            for line in text.splitlines():
+                line = line.split("#", 1)[0].strip()
+                if line.startswith("["):
+                    section = line.strip("[]")
+                elif "=" in line and section in ("case", "solver", "linear", "output"):
+                    found |= {(section, k.strip()) for k in line.split("=", 1)[0].split(",")}
+            return found
+
+        assert keys(grammar) == keys(echo_config(RunConfig()))
+
     def test_case_specific_defaults(self):
         th = parse_config("[case]\nname = thermal_shock\n")
         assert (th.ell, th.L, th.H, th.n_steps) == (1.0, 20.0, 10.0, 40)
@@ -269,7 +286,7 @@ class TestFailureArtifacts:
         def failing_after_40(*args, **kwargs):
             calls.append(1)
             if len(calls) > 40:
-                raise SingularOperatorError("injected zero pivot", pivot=0)
+                raise SingularOperatorError("injected zero pivot")
             return factorize(*args, **kwargs)
 
         monkeypatch.setattr(phasefrac.solver, "direct_factorize", failing_after_40)

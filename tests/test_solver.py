@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from phasefrac.cases import StepFailureError, run_quasistatic, setup_traction
+import phasefrac.solver
+from phasefrac.cases import StepFailureError, run_quasistatic, setup_surfing, setup_traction
 from phasefrac.fem import (State, apply_dirichlet, assemble_energy, assemble_Kuu, assemble_load_u,
                            impose_dirichlet)
 from phasefrac.model import Material
@@ -351,3 +352,20 @@ class TestDispatch:
         rep = solve_load_step(state, traction.problem,
                               SolverConfig(method="newton_only"))
         assert rep.am_iterations == 0 and rep.newton_attempts == 1
+
+    def test_newton_only_hands_newton_exact_boundary_rows(self, monkeypatch):
+        # a CG presolve meets the Dirichlet rows only to round-off; the
+        # coupled Newton solve needs them exact
+        setup = setup_surfing(MAT, h=0.05, n_steps=2, t_end=0.05)
+        seen = []
+
+        def capture(state, problem, config, **kwargs):
+            seen.append((state.u[problem.bc.dofs].copy(), problem.bc.values.copy()))
+            return coupled_newton_solve(state, problem, config, **kwargs)
+
+        monkeypatch.setattr(phasefrac.solver, "coupled_newton_solve", capture)
+        run_quasistatic(setup, SolverConfig(method="newton_only", elastic="cg"),
+                        snapshot_stride=0)
+        assert len(seen) == 2
+        for u_bc, ubar in seen:
+            assert np.array_equal(u_bc, ubar)
