@@ -12,8 +12,8 @@ The package provides
   (``mesh``);
 * material data and closed-form critical loads (``model``);
 * linear P1 assembly of energies, residuals, and Hessian blocks (``fem``);
-* hand-rolled sparse CG/MINRES, stationary preconditioners, and a block
-  field-split preconditioner (``linalg``);
+* hand-rolled sparse CG/MINRES, Jacobi and Chebyshev preconditioners, and a
+  block field-split preconditioner (``linalg``);
 * a reduced-space active-set semismooth Newton solver for box-constrained
   systems (``vi``);
 * alternate minimization with over-relaxation, optionally composed with a
@@ -37,14 +37,12 @@ from .fem import (DirichletBC, Discretization, EnergyBreakdown, State,
 from .linalg import (BlockJacobian, BreakdownError, ChebyshevPreconditioner,
                      FieldSplitPreconditioner,
                      JacobiPreconditioner, LinearSolveReport,
-                     LinearSolverError, SingularOperatorError,
-                     SSORPreconditioner, STATIONARY, cg_solve,
+                     LinearSolverError, SingularOperatorError, cg_solve,
                      direct_factorize, extract_submatrix, inner_chebyshev,
                      inner_direct, minres_solve)
-from .mesh import (BOUNDARY_TAGS, Mesh, banded_rect_mesh, boundary_dofs,
-                   rect_mesh)
+from .mesh import Mesh, banded_rect_mesh, boundary_dofs, rect_mesh
 from .model import (C_W, Material, critical_shock, critical_traction,
-                    degradation, dissipation, internal_length)
+                    degradation, dissipation)
 from .runio import (ConfigError, RunConfig, SweepSpec, build_material,
                     build_setup, configure, echo_config, parse_config,
                     parse_sweep, run, sweep)
@@ -53,7 +51,7 @@ from .solver import (NonlinearReport, SolverConfig, am_solve,
                      first_order_residual, inactive_block_jacobian,
                      oram_n_solve, residual_norm, solve_load_step)
 from .vi import (ActivePartition, ActiveSetReport, MCProblem, classify_active,
-                 fb_composite, fb_phi, mcp_residual, rsls_solve)
+                 fb_composite, fb_phi, rsls_solve)
 
 __all__ = [
     "__version__",
@@ -70,13 +68,13 @@ __all__ = [
     "BlockJacobian", "BreakdownError", "ChebyshevPreconditioner",
     "FieldSplitPreconditioner", "JacobiPreconditioner",
     "LinearSolveReport", "LinearSolverError", "SingularOperatorError",
-    "SSORPreconditioner", "STATIONARY", "cg_solve", "direct_factorize",
+    "cg_solve", "direct_factorize",
     "extract_submatrix", "inner_chebyshev", "inner_direct", "minres_solve",
     # mesh
-    "BOUNDARY_TAGS", "Mesh", "banded_rect_mesh", "boundary_dofs", "rect_mesh",
+    "Mesh", "banded_rect_mesh", "boundary_dofs", "rect_mesh",
     # model
     "C_W", "Material", "critical_shock", "critical_traction", "degradation",
-    "dissipation", "internal_length",
+    "dissipation",
     # runio
     "ConfigError", "RunConfig", "SweepSpec", "build_material", "build_setup",
     "configure", "echo_config", "parse_config", "parse_sweep", "run", "sweep",
@@ -86,5 +84,5 @@ __all__ = [
     "inactive_block_jacobian", "oram_n_solve", "residual_norm", "solve_load_step",
     # vi
     "ActivePartition", "ActiveSetReport", "MCProblem", "classify_active",
-    "fb_composite", "fb_phi", "mcp_residual", "rsls_solve",
+    "fb_composite", "fb_phi", "rsls_solve",
 ]

@@ -53,11 +53,6 @@ class State:
     def copy(self) -> "State":
         return State(self.u.copy(), self.alpha.copy(), self.alpha_lb.copy())
 
-    def check_feasible(self) -> None:
-        """Raise unless alpha_lb <= alpha <= 1 holds to within 1e-12."""
-        if np.any(self.alpha < self.alpha_lb - 1e-12) or np.any(self.alpha > 1.0 + 1e-12):
-            raise ValueError("state violates alpha_lb <= alpha <= 1")
-
 
 @dataclass
 class DirichletBC:

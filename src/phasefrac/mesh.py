@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-BOUNDARY_TAGS = ("left", "right", "bottom", "top")
-
 #: boundary_dofs field names -> dof stride/offset in the owning vector
 _FIELDS = {"displacement_x1": (2, 0), "displacement_x2": (2, 1), "damage": (1, 0)}
 
@@ -51,28 +49,6 @@ class Mesh:
 
     def all_boundary_vertices(self) -> np.ndarray:
         return np.unique(np.concatenate([f.ravel() for f in self.boundary_facets.values()]))
-
-    def triangle_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-    def edge_count(self) -> int:
-        """Number of unique edges (for Euler-characteristic checks)."""
-        t = self.triangles
-        e = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        e.sort(axis=1)
-        return np.unique(e, axis=0).shape[0]
-
-
-def _validate_orientation(mesh: Mesh) -> None:
-    """Raise if any triangle is degenerate or clockwise (signed area <= 0)."""
-    areas = mesh.triangle_areas()
-    if areas.min() <= 0.0:
-        raise ValueError(
-            f"mesh has {int((areas <= 0).sum())} non-CCW/degenerate triangles "
-            f"(min signed area {areas.min():.3e})")
 
 
 def _grid(x_levels: np.ndarray, y_levels: np.ndarray) -> Mesh:
@@ -138,7 +114,6 @@ def rect_mesh(L: float, H: float, h: float, origin_x2: float = 0.0,
         rng = np.random.default_rng(0)
         offsets = rng.uniform(-jitter, jitter, size=(int(interior.sum()), 2))
         v[interior] += offsets * np.array([L / nx, H / ny])
-        _validate_orientation(mesh)
     return mesh
 
 

@@ -95,10 +95,3 @@ def critical_shock(material: Material) -> float:
     equals the critical traction strain t_c at the same (E, Gc, ell).
     """
     return critical_traction(material) / material.beta
-
-
-def internal_length(Gc: float, E: float, sigma_c: float) -> float:
-    """Regularization length reproducing strength sigma_c: (3/8) Gc E / sigma_c^2."""
-    if sigma_c <= 0:
-        raise ValueError("sigma_c must be positive")
-    return 0.375 * Gc * E / (sigma_c * sigma_c)

@@ -31,12 +31,10 @@ is optional and validated; unknown sections or keys are errors:
     max_outer_cycles = 20
 
     [linear]
-    elastic = direct           ; direct | cg
-    elastic_precond = ssor     ; jacobi | ssor | chebyshev
+    elastic = direct           ; direct | cg (Jacobi-preconditioned)
     elastic_rtol = 1e-10
     coupled = fieldsplit       ; direct | fieldsplit
     fieldsplit_inner = direct  ; direct | chebyshev
-    fieldsplit_degree = 5      ; polynomial degree of the chebyshev inners
     fieldsplit_rtol = 1e-06
 
     [output]
@@ -190,6 +188,13 @@ class SweepSpec:
                 f"sweep parameter must be one of {_SWEEPABLE}, got {self.parameter!r}")
         if not self.values:
             raise ConfigError("sweep values list must not be empty")
+        names = [_row_dirname(self.parameter, v) for v in self.values]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"sweep values {self.values} share the output directories {names}")
+
+
+def _row_dirname(parameter: str, value) -> str:
+    return f"{parameter}_{value:g}"
 
 
 def _read_ini(text: str) -> configparser.ConfigParser:
@@ -437,7 +442,7 @@ def _sweep_row(args) -> dict:
     start = time.perf_counter()
     try:
         row_cfg = configure(cfg, **{parameter: value}, directory=str(
-            Path(cfg.directory) / f"{parameter}_{value:g}"))
+            Path(cfg.directory) / _row_dirname(parameter, value)))
         records, error = _execute(row_cfg)
         am = sum(r.report.am_iterations for r in records)
         newton = sum(r.report.newton_iterations for r in records)
@@ -461,14 +466,18 @@ def sweep(spec: SweepSpec, threads: int = 1,
     The reduction column compares total AM iterations against the reference
     row (the omega = 1 row when sweeping omega, otherwise the first row);
     positive values mean fewer iterations.  Failed rows are recorded with
-    status 'failed' and their error, and do not abort the sweep.
+    status 'failed' and their error, and do not abort the sweep.  At most
+    ``threads`` rows run at once.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads!r}")
     base = spec.base
     if output_dir is not None:
         base = dataclasses.replace(base, directory=output_dir)
     jobs = [(base, spec.parameter, float(v)) for v in spec.values]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, jobs))
     else:
         rows = [_sweep_row(job) for job in jobs]

@@ -33,15 +33,14 @@ from .fem import (Discretization, State, apply_dirichlet, assemble_energy,
                   assemble_Kaa, assemble_Kua, assemble_Kuu, assemble_load_u,
                   assemble_residual_alpha, assemble_residual_u,
                   impose_dirichlet)
-from .linalg import (STATIONARY, BlockJacobian, FieldSplitPreconditioner,
-                     LinearSolverError, cg_solve, direct_factorize,
-                     extract_submatrix, inner_chebyshev, inner_direct,
-                     minres_solve)
+from .linalg import (BlockJacobian, FieldSplitPreconditioner,
+                     JacobiPreconditioner, LinearSolverError, cg_solve,
+                     direct_factorize, extract_submatrix, inner_chebyshev,
+                     inner_direct, minres_solve)
 from .vi import MCProblem, classify_active, fb_composite, rsls_solve
 
 #: the choice-valued fields of SolverConfig and their admissible values
 CHOICES = {"method": ("am", "oram_newton", "newton_only"), "elastic": ("direct", "cg"),
-           "elastic_precond": tuple(STATIONARY),
            "coupled": ("direct", "fieldsplit"), "fieldsplit_inner": ("direct", "chebyshev")}
 #: damage subproblem tolerance, as a fraction of ``outer_atol``
 DAMAGE_ATOL_FACTOR = 0.1
@@ -71,11 +70,9 @@ class SolverConfig:
     max_newton_iterations: int = 30
     max_outer_cycles: int = 20
     elastic: str = field(default="direct", metadata=_LINEAR)   # displacement half-step
-    elastic_precond: str = field(default="ssor", metadata=_LINEAR)
     elastic_rtol: float = field(default=1e-10, metadata=_LINEAR)
     coupled: str = field(default="fieldsplit", metadata=_LINEAR)   # Newton inactive block
     fieldsplit_inner: str = field(default="direct", metadata=_LINEAR)  # block inverses
-    fieldsplit_degree: int = field(default=5, metadata=_LINEAR)   # of the chebyshev inners
     fieldsplit_rtol: float = field(default=1e-6, metadata=_LINEAR)
 
     def __post_init__(self):
@@ -87,8 +84,7 @@ class SolverConfig:
         for name in ("outer_atol", "am_rtol", "elastic_rtol", "fieldsplit_rtol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
-        for name in ("max_am_iterations", "max_newton_iterations", "max_outer_cycles",
-                     "fieldsplit_degree"):
+        for name in ("max_am_iterations", "max_newton_iterations", "max_outer_cycles"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
 
@@ -137,8 +133,7 @@ def elastic_step(state: State, problem: Discretization, config: SolverConfig):
     K, f = apply_dirichlet(K, f, problem)
     if config.elastic == "direct":
         return direct_factorize(K).solve(f), 0
-    precond = STATIONARY[config.elastic_precond](K)
-    u, rep = cg_solve(K, f, precond=precond, rtol=config.elastic_rtol)
+    u, rep = cg_solve(K, f, precond=JacobiPreconditioner(K), rtol=config.elastic_rtol)
     if not rep.converged:
         raise LinearSolverError(
             f"elastic CG stalled at residual {rep.final_residual_norm:.3e}")
@@ -269,12 +264,8 @@ def _make_coupled_linear_solver(config: SolverConfig):
         red, _, _ = _inactive_blocks(J, inactive)
         if config.coupled == "direct":
             return direct_factorize(red.to_csr(), spd=False).solve(rhs), None
-        if config.fieldsplit_inner == "direct":
-            inner_a, inner_c = inner_direct(red.A), inner_direct(red.C)
-        else:
-            inner_a = inner_chebyshev(red.A, degree=config.fieldsplit_degree)
-            inner_c = inner_chebyshev(red.C, degree=config.fieldsplit_degree)
-        precond = FieldSplitPreconditioner(red, inner_a, inner_c)
+        inner = inner_direct if config.fieldsplit_inner == "direct" else inner_chebyshev
+        precond = FieldSplitPreconditioner(red, inner(red.A), inner(red.C))
         d, rep = minres_solve(red, rhs, precond=precond, rtol=config.fieldsplit_rtol)
         if not rep.converged:
             raise LinearSolverError(

@@ -53,10 +53,6 @@ class MCProblem:
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
 
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
 
 @dataclass
 class ActivePartition:
@@ -103,15 +99,6 @@ def fb_composite(x: np.ndarray, F: np.ndarray, lower: np.ndarray,
         inner = fb_phi(upper[both] - x[both], -F[both])
         phi[both] = fb_phi(x[both] - lower[both], inner)
     return phi
-
-
-def mcp_residual(x: np.ndarray, problem: MCProblem) -> np.ndarray:
-    """Phi(x) for a feasible point; infeasible input raises."""
-    x = np.asarray(x, dtype=float)
-    tol = 1e-12 * (1.0 + float(np.max(np.abs(x))) if x.size else 1.0)
-    if np.any(x < problem.lower - tol) or np.any(x > problem.upper + tol):
-        raise ValueError("mcp_residual: x violates the bounds")
-    return fb_composite(x, problem.residual(x), problem.lower, problem.upper)
 
 
 def classify_active(x: np.ndarray, F: np.ndarray, lower: np.ndarray,

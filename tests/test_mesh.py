@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from phasefrac.mesh import BOUNDARY_TAGS, banded_rect_mesh, boundary_dofs, rect_mesh
+from phasefrac.fem import Discretization
+from phasefrac.mesh import banded_rect_mesh, boundary_dofs, rect_mesh
+from phasefrac.model import Material
 
 
 def test_single_cell_counts():
@@ -20,19 +22,25 @@ def test_rectangle_counts():
 
 
 def test_total_area_tiles_domain():
-    mesh = rect_mesh(2.0, 1.0, 0.1)
-    assert abs(mesh.triangle_areas().sum() - 2.0) <= 1e-12 * 2.0
+    area = Discretization(rect_mesh(2.0, 1.0, 0.1), Material()).area
+    assert abs(area.sum() - 2.0) <= 1e-12 * 2.0
 
 
 def test_triangles_ccw_positive_area():
     for mesh in (rect_mesh(1.0, 1.0, 0.2), rect_mesh(3.0, 2.0, 0.4, origin_x2=-1.0)):
-        assert mesh.triangle_areas().min() > 0.0
+        assert Discretization(mesh, Material()).area.min() > 0.0
+    mesh.triangles = mesh.triangles[:, ::-1]   # clockwise
+    with pytest.raises(ValueError, match="CCW"):
+        Discretization(mesh, Material())
 
 
 def test_euler_characteristic_of_disk():
     mesh = rect_mesh(2.0, 1.0, 0.25)
+    t = mesh.triangles
+    edges = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
+    n_edges = np.unique(edges, axis=0).shape[0]
     # V - E + F = 1 for a triangulated topological disk (without the outer face)
-    assert mesh.n_vertices - mesh.edge_count() + mesh.n_triangles == 1
+    assert mesh.n_vertices - n_edges + mesh.n_triangles == 1
 
 
 def test_invalid_dimensions_rejected():
@@ -68,7 +76,8 @@ class TestBandedMesh:
 
     def test_banded_area_exact(self):
         mesh = banded_rect_mesh(2.0, 1.0, 0.05, 0.25, band_halfwidth=0.2)
-        assert abs(mesh.triangle_areas().sum() - 2.0) <= 1e-12 * 2.0
+        area = Discretization(mesh, Material()).area
+        assert abs(area.sum() - 2.0) <= 1e-12 * 2.0
 
 
 class TestBoundaryDofs:
@@ -79,7 +88,7 @@ class TestBoundaryDofs:
     def test_tags_cover_boundary(self):
         mesh = rect_mesh(2.0, 1.0, 0.5)
         tagged = np.unique(np.concatenate(
-            [mesh.boundary_vertices(t) for t in BOUNDARY_TAGS]))
+            [mesh.boundary_vertices(t) for t in ("left", "right", "bottom", "top")]))
         assert np.array_equal(tagged, mesh.all_boundary_vertices())
 
     def test_corner_in_two_tags(self):
@@ -121,7 +130,7 @@ class TestJitter:
 
     def test_preserves_area_and_orientation(self):
         mesh = rect_mesh(2.0, 1.0, 0.25, jitter=0.3)
-        areas = mesh.triangle_areas()
+        areas = Discretization(mesh, Material()).area
         assert areas.min() > 0.0
         assert abs(areas.sum() - 2.0) <= 1e-12 * 2.0
 

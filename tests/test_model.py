@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phasefrac.model import (C_W, Material, critical_shock, critical_traction,
-                             degradation, dissipation, internal_length)
+                             degradation, dissipation)
 
 
 class TestDamagePair:
@@ -120,16 +120,9 @@ class TestCriticalLoads:
         with pytest.raises(ValueError):
             critical_shock(Material(beta=-1.0))
 
-    def test_internal_length_value(self):
-        assert internal_length(1.0, 1.0, 1.0) == pytest.approx(0.375, rel=1e-15)
-
-    def test_internal_length_inverse_square(self):
-        assert internal_length(1.0, 1.0, 2.0) == \
-            pytest.approx(internal_length(1.0, 1.0, 1.0) / 4, rel=1e-15)
-
     def test_round_trip_strength(self):
         Gc, E, sigma_c = 2.0, 3.0, 0.7
-        ell = internal_length(Gc, E, sigma_c)
+        ell = 0.375 * Gc * E / sigma_c**2   # the length that reproduces sigma_c
         m = Material(E=E, Gc=Gc, ell=ell)
         # the strain threshold of the bar equals sigma_c / E by construction
         assert critical_traction(m) == pytest.approx(sigma_c / E, rel=1e-12)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import phasefrac.runio
 import phasefrac.solver
 from phasefrac import cli
 from phasefrac.linalg import SingularOperatorError
@@ -70,6 +71,13 @@ class TestParsing:
             return found
 
         assert keys(grammar) == keys(echo_config(RunConfig()))
+        # and every "key = a | b | c" line lists exactly the admissible values
+        listed = {}
+        for line in grammar.splitlines():
+            key, _, rhs = line.split("#", 1)[0].partition("=")
+            if "|" in rhs and key.strip() in CHOICES:
+                listed[key.strip()] = tuple(v.split("(")[0].strip() for v in rhs.split("|"))
+        assert listed == CHOICES
 
     def test_case_specific_defaults(self):
         th = parse_config("[case]\nname = thermal_shock\n")
@@ -100,8 +108,14 @@ class TestParsing:
             parse_config("[linear]\nfieldsplit_inner = cg\n")
         with pytest.raises(ConfigError, match="fieldsplit_cg_budget"):
             parse_config("[linear]\nfieldsplit_cg_budget = 5\n")
-        cfg = parse_config("[linear]\nfieldsplit_inner = chebyshev\nfieldsplit_degree = 3\n")
-        assert (cfg.solver.fieldsplit_inner, cfg.solver.fieldsplit_degree) == ("chebyshev", 3)
+        cfg = parse_config("[linear]\nfieldsplit_inner = chebyshev\n")
+        assert cfg.solver.fieldsplit_inner == "chebyshev"
+
+    @pytest.mark.parametrize("line", ["elastic_precond = ssor", "fieldsplit_degree = 3"])
+    def test_retired_linear_keys_rejected(self, line):
+        # elastic CG is Jacobi-preconditioned; the Chebyshev degree is a constant
+        with pytest.raises(ConfigError, match=line.split(" =")[0]):
+            parse_config(f"[linear]\n{line}\n")
 
     def test_am_takes_a_relaxation_weight(self):
         cfg = parse_config("[solver]\nmethod = am\nomega = 1.3\n")
@@ -166,7 +180,7 @@ def run_configs(draw):
         outer_atol=draw(positive), am_rtol=draw(positive),
         elastic_rtol=draw(positive), fieldsplit_rtol=draw(positive),
         max_am_iterations=draw(counts), max_newton_iterations=draw(counts),
-        max_outer_cycles=draw(counts), fieldsplit_degree=draw(counts))
+        max_outer_cycles=draw(counts))
     return RunConfig(
         name=draw(st.sampled_from(CHOICE_KEYS["name"])),
         **{key: draw(positive) for key in ("ell", "h", "L", "H", "E", "Gc", "beta",
@@ -369,6 +383,39 @@ max_am_iterations = 200
         assert [r["status"] for r in rows] == ["ok", "failed"]
         assert rows[0]["error"] == ""
         assert "did not converge" in rows[1]["error"]
+
+    def test_workers_capped_by_value_count(self, tmp_path, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(phasefrac.runio, "ProcessPoolExecutor", SerialPool)
+        assert sweep(parse_sweep(self.SPEC), threads=64, output_dir=str(tmp_path)) == 0
+        assert started == [2]
+
+    def test_nonpositive_threads_rejected(self, tmp_path):
+        cfgfile = tmp_path / "sweep.ini"
+        cfgfile.write_text(self.SPEC)
+        for threads in ("0", "-3"):
+            assert cli.main(["sweep", str(cfgfile), "--threads", threads,
+                             "--output-dir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("values", ["1.0, 1.0", "1.2345671, 1.2345672"])
+    def test_values_sharing_a_directory_rejected(self, values):
+        with pytest.raises(ConfigError, match="share the output directories"):
+            parse_sweep(f"[sweep]\nparameter = omega\nvalues = {values}\n")
 
     def test_unknown_sweep_parameter_rejected(self):
         with pytest.raises(ConfigError, match="wavelength"):

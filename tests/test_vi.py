@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 from conftest import qp_enumerate, random_spd
 
 from phasefrac.vi import (MCProblem, classify_active, fb_composite,
-                          fb_phi, mcp_residual, rsls_solve)
+                          fb_phi, rsls_solve)
 
 
 @st.composite
@@ -75,18 +75,13 @@ class TestFischerBurmeister:
 class TestMCPResidual:
     def test_interior_root(self):
         p = qp_problem(np.eye(1), np.array([-2.0]), [0.0], [np.inf])
-        assert abs(mcp_residual(np.array([2.0]), p)[0]) <= 1e-14
+        x = np.array([2.0])
+        assert abs(fb_composite(x, p.residual(x), p.lower, p.upper)[0]) <= 1e-14
 
     def test_active_lower_root(self):
         p = qp_problem(np.eye(1), np.array([2.0]), [0.0], [np.inf])
-        assert abs(mcp_residual(np.array([0.0]), p)[0]) <= 1e-14
-
-    def test_infeasible_input_raises(self):
-        p = qp_problem(np.eye(1), np.array([0.0]), [0.0], [1.0])
-        with pytest.raises(ValueError):
-            mcp_residual(np.array([-0.5]), p)
-        with pytest.raises(ValueError):
-            mcp_residual(np.array([1.5]), p)
+        x = np.array([0.0])
+        assert abs(fb_composite(x, p.residual(x), p.lower, p.upper)[0]) <= 1e-14
 
     def test_zero_at_enumerated_qp_solution(self):
         rng = np.random.default_rng(2)
@@ -95,7 +90,8 @@ class TestMCPResidual:
         lower, upper = np.zeros(4), np.ones(4)
         x_star = qp_enumerate(H, c, lower, upper)
         p = qp_problem(H, c, lower, upper)
-        assert np.max(np.abs(mcp_residual(x_star, p))) <= 1e-8
+        assert np.max(np.abs(fb_composite(x_star, p.residual(x_star), p.lower,
+                                          p.upper))) <= 1e-8
 
 
 class TestClassifyActive:
@@ -197,7 +193,7 @@ class TestRSLS:
         x, rep = rsls_solve(p, np.zeros(n))
         assert rep.converged
         assert rep.iterations <= 30
-        assert np.max(np.abs(mcp_residual(x, p))) <= 1e-7
+        assert np.max(np.abs(fb_composite(x, p.residual(x), p.lower, p.upper))) <= 1e-7
 
     def test_infeasible_start_is_clipped(self):
         p = qp_problem(np.eye(2), np.array([-0.5, -0.5]), [0.0, 0.0], [1.0, 1.0])
