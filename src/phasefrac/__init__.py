@@ -12,8 +12,8 @@ The package provides
   (``mesh``);
 * material data and closed-form critical loads (``model``);
 * linear P1 assembly of energies, residuals, and Hessian blocks (``fem``);
-* hand-rolled sparse CG/MINRES, Jacobi and Chebyshev preconditioners, and a
-  block field-split preconditioner (``linalg``);
+* hand-rolled MINRES, sparse LU through SuperLU, a Chebyshev preconditioner,
+  and a block field-split preconditioner (``linalg``);
 * a reduced-space active-set semismooth Newton solver for box-constrained
   systems (``vi``);
 * alternate minimization with over-relaxation, optionally composed with a
@@ -35,9 +35,8 @@ from .fem import (DirichletBC, Discretization, EnergyBreakdown, State,
                   assemble_residual_u, combine_bcs, eliminate_dirichlet,
                   impose_dirichlet)
 from .linalg import (BlockJacobian, BreakdownError, ChebyshevPreconditioner,
-                     FieldSplitPreconditioner,
-                     JacobiPreconditioner, LinearSolveReport,
-                     LinearSolverError, SingularOperatorError, cg_solve,
+                     FieldSplitPreconditioner, LinearSolveReport,
+                     LinearSolverError, SingularOperatorError,
                      direct_factorize, extract_submatrix, inner_chebyshev,
                      inner_direct, minres_solve)
 from .mesh import Mesh, banded_rect_mesh, boundary_dofs, rect_mesh
@@ -66,9 +65,8 @@ __all__ = [
     "combine_bcs", "eliminate_dirichlet", "impose_dirichlet",
     # linalg
     "BlockJacobian", "BreakdownError", "ChebyshevPreconditioner",
-    "FieldSplitPreconditioner", "JacobiPreconditioner",
-    "LinearSolveReport", "LinearSolverError", "SingularOperatorError",
-    "cg_solve", "direct_factorize",
+    "FieldSplitPreconditioner", "LinearSolveReport", "LinearSolverError",
+    "SingularOperatorError", "direct_factorize",
     "extract_submatrix", "inner_chebyshev", "inner_direct", "minres_solve",
     # mesh
     "Mesh", "banded_rect_mesh", "boundary_dofs", "rect_mesh",

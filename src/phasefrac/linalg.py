@@ -1,9 +1,9 @@
-"""Sparse linear algebra kernels: CG, MINRES, direct solves, block preconditioner.
+"""Sparse linear algebra kernels: MINRES, direct solves, block preconditioner.
 
 Matrices are scipy CSR (compressed-row storage with sorted, duplicate-free
-indices).  Krylov solvers are written out longhand because their iteration
-counts and residual histories are reported quantities; direct factorization
-delegates to SuperLU.
+indices).  MINRES is written out longhand because its iteration counts and
+residual norms are reported quantities; direct factorization delegates to
+SuperLU.
 
 Operators need ``shape`` and ``A @ x``; preconditioners need ``matvec(r)``,
 which applies a fixed SPD approximation of the inverse.
@@ -72,54 +72,7 @@ class BlockJacobian:
         return sp.bmat([[self.A, self.B], [self.B.T, self.C]], format="csr")
 
 
-# -- Krylov solvers -----------------------------------------------------------
-
-
-def cg_solve(A, b: np.ndarray, precond=None, rtol: float = 1e-10,
-             maxit: Optional[int] = None):
-    """Preconditioned conjugate gradients for SPD systems, x0 = 0.
-
-    Convergence is tested on the true residual 2-norm against rtol*||b||.
-    Detected indefiniteness (p^T A p <= 0 or z^T r <= 0) raises
-    BreakdownError naming the offending step.  ``precond=None`` is the identity.
-    """
-    apply_precond = (lambda r: r) if precond is None else precond.matvec
-    n = A.shape[0]
-    maxit = maxit if maxit is not None else 10 * n
-    bnorm = float(np.linalg.norm(b))
-    target = rtol * bnorm
-    x = np.zeros(n)
-    if bnorm == 0.0:
-        return x, LinearSolveReport(0, 0.0, True)
-    r = b.copy()
-    z = apply_precond(r)
-    rz = float(r @ z)
-    if rz <= 0.0:
-        raise BreakdownError(f"cg: preconditioner not SPD at iteration 0 (r'z={rz:.3e})")
-    p = z.copy()
-    rnorm = bnorm
-    it = 0
-    while it < maxit and rnorm > target:
-        Ap = A @ p
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise BreakdownError(f"cg: p'Ap = {pAp:.3e} <= 0 at iteration {it + 1} "
-                                 "(operator not positive definite)")
-        gamma = rz / pAp
-        x += gamma * p
-        r -= gamma * Ap
-        it += 1
-        rnorm = float(np.linalg.norm(r))
-        if rnorm <= target:
-            break
-        z = apply_precond(r)
-        rz_new = float(r @ z)
-        if rz_new <= 0.0:
-            raise BreakdownError(f"cg: preconditioner not SPD at iteration {it} "
-                                 f"(r'z={rz_new:.3e})")
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, LinearSolveReport(it, rnorm, rnorm <= target)
+# -- MINRES --------------------------------------------------------------------
 
 
 def minres_solve(A, b: np.ndarray, precond=None, rtol: float = 1e-8,
@@ -238,21 +191,7 @@ def extract_submatrix(A: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> s
     return sub
 
 
-# -- Jacobi and Chebyshev preconditioners ---------------------------------------
-
-
-class JacobiPreconditioner:
-    """z = r / diag(A)."""
-
-    def __init__(self, A):
-        d = np.asarray(A.diagonal(), dtype=float)
-        if np.any(d <= 0):
-            raise ValueError("jacobi preconditioner needs a positive diagonal")
-        self._dinv = 1.0 / d
-        self.shape = A.shape
-
-    def matvec(self, r: np.ndarray) -> np.ndarray:
-        return self._dinv * r
+# -- Chebyshev preconditioner --------------------------------------------------
 
 
 #: polynomial degree of the Chebyshev preconditioner

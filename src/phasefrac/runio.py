@@ -31,8 +31,6 @@ is optional and validated; unknown sections or keys are errors:
     max_outer_cycles = 20
 
     [linear]
-    elastic = direct           ; direct | cg (Jacobi-preconditioned)
-    elastic_rtol = 1e-10
     coupled = fieldsplit       ; direct | fieldsplit
     fieldsplit_inner = direct  ; direct | chebyshev
     fieldsplit_rtol = 1e-06
@@ -49,11 +47,13 @@ A sweep file adds one section:
 
 ``run`` writes into the output directory: ``energies.csv`` (one row per load
 step, columns step,load,elastic,dissipated,total,am_iters,newton_iters,
-krylov_iters,omega_bar_min), ``iterations.csv`` (per nonlinear iteration),
-``step_NNNN.vtk`` legacy ASCII snapshots, and ``provenance.txt`` (version and
-config echo; no timestamps, so reruns are bitwise identical), plus
-``FAILED.txt`` when a load step fails.  ``sweep`` runs one sub-run per value
-and writes ``summary.csv``.
+krylov_iters,omega_bar_min; krylov_iters counts the MINRES iterations of the
+coupled Newton solves, 0 for ``am``), ``iterations.csv`` (per nonlinear
+iteration), ``step_NNNN.vtk`` legacy ASCII snapshots, and ``provenance.txt``
+(version and config echo; no timestamps, so reruns are bitwise identical),
+plus ``FAILED.txt`` when a load step fails.  The ``FAILED.txt`` and snapshots
+of an earlier run in the same directory are removed first.  ``sweep`` runs one
+sub-run per value and writes ``summary.csv``.
 
 The keys of [solver] and [linear] are the fields of ``SolverConfig``; those of
 [case] and [output] are the other fields of ``RunConfig``.
@@ -263,7 +263,8 @@ def parse_sweep(text: str) -> SweepSpec:
 
 
 def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+    """A float's shortest round-trip text (numpy scalars included), else str."""
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
 
 
 def echo_config(cfg: RunConfig) -> str:
@@ -331,8 +332,7 @@ def write_energies_csv(path: Path, records: list) -> None:
 def write_iterations_csv(path: Path, log_rows: list) -> None:
     rows = [",".join(ITERATION_COLUMNS)]
     for rec in log_rows:
-        rows.append(",".join(_fmt(rec[c]) if isinstance(rec[c], float) else str(rec[c])
-                             for c in ITERATION_COLUMNS))
+        rows.append(",".join(_fmt(rec[c]) for c in ITERATION_COLUMNS))
     _write_text(path, "\n".join(rows) + "\n")
 
 
@@ -395,6 +395,8 @@ def _execute(cfg: RunConfig):
         records = exc.records
         error = exc
     out = Path(cfg.directory)
+    for stale in [out / "FAILED.txt", *out.glob("step_[0-9][0-9][0-9][0-9].vtk")]:
+        stale.unlink(missing_ok=True)
     write_provenance(out / "provenance.txt", cfg, setup)
     write_energies_csv(out / "energies.csv", records)
     write_iterations_csv(out / "iterations.csv", log_rows)

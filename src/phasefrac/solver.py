@@ -33,14 +33,13 @@ from .fem import (Discretization, State, apply_dirichlet, assemble_energy,
                   assemble_Kaa, assemble_Kua, assemble_Kuu, assemble_load_u,
                   assemble_residual_alpha, assemble_residual_u,
                   impose_dirichlet)
-from .linalg import (BlockJacobian, FieldSplitPreconditioner,
-                     JacobiPreconditioner, LinearSolverError, cg_solve,
+from .linalg import (BlockJacobian, FieldSplitPreconditioner, LinearSolverError,
                      direct_factorize, extract_submatrix, inner_chebyshev,
                      inner_direct, minres_solve)
 from .vi import MCProblem, classify_active, fb_composite, rsls_solve
 
 #: the choice-valued fields of SolverConfig and their admissible values
-CHOICES = {"method": ("am", "oram_newton", "newton_only"), "elastic": ("direct", "cg"),
+CHOICES = {"method": ("am", "oram_newton", "newton_only"),
            "coupled": ("direct", "fieldsplit"), "fieldsplit_inner": ("direct", "chebyshev")}
 #: damage subproblem tolerance, as a fraction of ``outer_atol``
 DAMAGE_ATOL_FACTOR = 0.1
@@ -69,8 +68,6 @@ class SolverConfig:
     max_am_iterations: int = 1000
     max_newton_iterations: int = 30
     max_outer_cycles: int = 20
-    elastic: str = field(default="direct", metadata=_LINEAR)   # displacement half-step
-    elastic_rtol: float = field(default=1e-10, metadata=_LINEAR)
     coupled: str = field(default="fieldsplit", metadata=_LINEAR)   # Newton inactive block
     fieldsplit_inner: str = field(default="direct", metadata=_LINEAR)  # block inverses
     fieldsplit_rtol: float = field(default=1e-6, metadata=_LINEAR)
@@ -81,7 +78,7 @@ class SolverConfig:
                 raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if not 0.0 < self.omega < 2.0:
             raise ValueError(f"omega must lie strictly inside (0, 2), got {self.omega!r}")
-        for name in ("outer_atol", "am_rtol", "elastic_rtol", "fieldsplit_rtol"):
+        for name in ("outer_atol", "am_rtol", "fieldsplit_rtol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         for name in ("max_am_iterations", "max_newton_iterations", "max_outer_cycles"):
@@ -98,7 +95,7 @@ class NonlinearReport:
     am_iterations: int = 0
     newton_iterations: int = 0
     newton_attempts: int = 0
-    total_krylov_iterations: int = 0
+    total_krylov_iterations: int = 0   # MINRES iterations of the coupled Newton solves
     omega_bar_min: float = 1.0
     energy_history: list = field(default_factory=list)      # EnergyBreakdown per iterate
     residual_history: list = field(default_factory=list)    # optimality norm per iterate
@@ -126,18 +123,15 @@ def residual_norm(state: State, problem: Discretization) -> float:
 # -- half-steps -----------------------------------------------------------------
 
 
-def elastic_step(state: State, problem: Discretization, config: SolverConfig):
-    """Minimize the energy in u at fixed alpha.  Returns (u, krylov_iterations)."""
+def elastic_step(state: State, problem: Discretization) -> np.ndarray:
+    """Minimize the energy in u at fixed alpha: one sparse LU solve.
+
+    The Dirichlet rows of the returned u hold the boundary data exactly.
+    """
     K = assemble_Kuu(state, problem, apply_bc=False)
     f = assemble_load_u(state, problem)
     K, f = apply_dirichlet(K, f, problem)
-    if config.elastic == "direct":
-        return direct_factorize(K).solve(f), 0
-    u, rep = cg_solve(K, f, precond=JacobiPreconditioner(K), rtol=config.elastic_rtol)
-    if not rep.converged:
-        raise LinearSolverError(
-            f"elastic CG stalled at residual {rep.final_residual_norm:.3e}")
-    return u, rep.iterations
+    return direct_factorize(K).solve(f)
 
 
 def damage_step(state: State, problem: Discretization, config: SolverConfig):
@@ -191,14 +185,12 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
         report.am_iterations += 1
 
         u_prev = state.u.copy()
-        u_star, kit = elastic_step(state, problem, config)
-        report.total_krylov_iterations += kit
+        u_star = elastic_step(state, problem)
         state.u = u_prev + config.omega * (u_star - u_prev)
         impose_dirichlet(state, problem)
 
         a_prev = state.alpha.copy()
-        a_star, vrep = damage_step(state, problem, config)
-        report.total_krylov_iterations += vrep.total_krylov_iterations
+        a_star, _ = damage_step(state, problem, config)
         omega_bar = config.omega
         cand = a_star if omega_bar == 1.0 else a_prev + omega_bar * (a_star - a_prev)
         halvings = 0
@@ -362,7 +354,6 @@ def oram_n_solve(state: State, problem: Discretization,
 
         am_rep = am_solve(state, problem, config, rtol=config.am_rtol, cycle=cycle, log=log)
         report.am_iterations += am_rep.am_iterations
-        report.total_krylov_iterations += am_rep.total_krylov_iterations
         report.omega_bar_min = min(report.omega_bar_min, am_rep.omega_bar_min)
         start = 1 if report.energy_history else 0
         report.energy_history.extend(am_rep.energy_history[start:])
@@ -408,8 +399,7 @@ def solve_load_step(state: State, problem: Discretization, config: SolverConfig,
         # drop the boundary-to-interior coupling and wander; snapping the raw
         # boundary values instead creates a strain spike whose damage driving
         # force strands the merit line search.
-        state.u, presolve_kit = elastic_step(state, problem, config)
-        impose_dirichlet(state, problem)   # an iterative presolve misses them by round-off
+        state.u = elastic_step(state, problem)
         new_state, nrep = coupled_newton_solve(state, problem, config, log=log)
         state.u, state.alpha = new_state.u, new_state.alpha
         return NonlinearReport(
@@ -417,7 +407,7 @@ def solve_load_step(state: State, problem: Discretization, config: SolverConfig,
             final_residual_norm=nrep.final_residual_norm,
             newton_iterations=nrep.iterations,
             newton_attempts=1,
-            total_krylov_iterations=nrep.total_krylov_iterations + presolve_kit,
+            total_krylov_iterations=nrep.total_krylov_iterations,
             omega_bar_min=1.0,
             energy_history=[assemble_energy(state, problem)],
             residual_history=list(nrep.residual_history),

@@ -34,6 +34,23 @@ directory = {out}
 snapshot_stride = 3
 """
 
+SURFING_NEWTON_SMOKE = """
+[case]
+name = surfing
+ell = 0.1
+h = 0.05
+n_steps = 2
+t_end = 0.05
+
+[solver]
+method = oram_newton
+omega = 1.6
+
+[output]
+directory = {out}
+snapshot_stride = 0
+"""
+
 
 def read_csv(path):
     with open(path, newline="") as fh:
@@ -111,9 +128,11 @@ class TestParsing:
         cfg = parse_config("[linear]\nfieldsplit_inner = chebyshev\n")
         assert cfg.solver.fieldsplit_inner == "chebyshev"
 
-    @pytest.mark.parametrize("line", ["elastic_precond = ssor", "fieldsplit_degree = 3"])
+    @pytest.mark.parametrize("line", ["elastic_precond = ssor", "fieldsplit_degree = 3",
+                                      "elastic = cg", "elastic_rtol = 1e-10"])
     def test_retired_linear_keys_rejected(self, line):
-        # elastic CG is Jacobi-preconditioned; the Chebyshev degree is a constant
+        # the elastic half-step is always a sparse LU solve; the Chebyshev
+        # degree is a constant
         with pytest.raises(ConfigError, match=line.split(" =")[0]):
             parse_config(f"[linear]\n{line}\n")
 
@@ -124,7 +143,7 @@ class TestParsing:
     @pytest.mark.parametrize("key,section", [
         ("E", "case"), ("ell", "case"), ("k_ell", "case"), ("h", "case"),
         ("nu", "case"), ("tau_max", "case"), ("omega", "solver"),
-        ("outer_atol", "solver"), ("elastic_rtol", "linear")])
+        ("outer_atol", "solver"), ("fieldsplit_rtol", "linear")])
     def test_nan_rejected(self, key, section):
         with pytest.raises(ConfigError, match=key):
             parse_config(f"[{section}]\n{key} = nan\n")
@@ -178,7 +197,7 @@ def run_configs(draw):
         **{key: draw(st.sampled_from(choices)) for key, choices in CHOICES.items()},
         omega=draw(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True)),
         outer_atol=draw(positive), am_rtol=draw(positive),
-        elastic_rtol=draw(positive), fieldsplit_rtol=draw(positive),
+        fieldsplit_rtol=draw(positive),
         max_am_iterations=draw(counts), max_newton_iterations=draw(counts),
         max_outer_cycles=draw(counts))
     return RunConfig(
@@ -284,6 +303,17 @@ class TestRunArtifacts:
         assert len(data) == npts
         assert min(data) >= 0.0 and max(data) <= 1.0 + 1e-12
 
+    def test_numpy_scalars_written_as_plain_floats(self, tmp_path):
+        out = tmp_path / "newton"
+        assert run(parse_config(SURFING_NEWTON_SMOKE.format(out=out))) == 0
+        rows = read_csv(out / "iterations.csv")
+        assert any(r["phase"] == "newton" for r in rows)
+        for r in rows:
+            for column in ITERATION_COLUMNS:
+                if column != "phase":
+                    float(r[column])
+        assert "\nK_I = 1.0\n" in (out / "provenance.txt").read_text()
+
     def test_rerun_is_bitwise_identical(self, run_dir, tmp_path):
         out2 = tmp_path / "run2"
         cfg = parse_config(TRACTION_SMOKE.format(out=out2))
@@ -314,6 +344,18 @@ class TestFailureArtifacts:
         failed = (out / "FAILED.txt").read_text()
         assert "at step 2 " in failed
         assert "SingularOperatorError: injected zero pivot" in failed
+
+    def test_rerun_removes_stale_failure_and_snapshots(self, tmp_path):
+        out = tmp_path / "r"
+        failing = TRACTION_SMOKE.format(out=out).replace(
+            "omega = 1.4", "omega = 1.4\nmax_am_iterations = 1")
+        assert run(parse_config(failing)) == 3
+        assert (out / "FAILED.txt").exists() and list(out.glob("step_*.vtk"))
+        (out / "notes.txt").write_text("kept")
+        assert run(parse_config(TRACTION_SMOKE.format(out=out)), snapshot_stride=0) == 0
+        assert not (out / "FAILED.txt").exists()
+        assert not list(out.glob("*.vtk"))
+        assert (out / "notes.txt").read_text() == "kept"
 
 
 class TestSweep:

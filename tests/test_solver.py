@@ -52,7 +52,7 @@ class TestConfigValidation:
 
     def test_unknown_linear_choices_rejected(self):
         with pytest.raises(ValueError):
-            SolverConfig(elastic="lu")
+            SolverConfig(fieldsplit_inner="lu")
         with pytest.raises(ValueError):
             SolverConfig(coupled="amg")
 
@@ -60,32 +60,23 @@ class TestConfigValidation:
 class TestElasticStep:
     def test_zero_load_gives_zero_displacement(self, traction):
         state = loaded_state(traction, 0.0)
-        u, kit = elastic_step(state, traction.problem, SolverConfig())
+        u = elastic_step(state, traction.problem)
         assert np.max(np.abs(u)) == 0.0
 
     def test_matches_eliminated_dense_solve(self, traction):
         state = loaded_state(traction, 0.4)
         rng = np.random.default_rng(0)
         state.alpha = rng.uniform(0.0, 0.3, traction.mesh.n_vertices)
-        u, _ = elastic_step(state, traction.problem, SolverConfig())
+        u = elastic_step(state, traction.problem)
         K = assemble_Kuu(state, traction.problem, apply_bc=False)
         f = assemble_load_u(state, traction.problem)
         Kb, fb = apply_dirichlet(K, f, traction.problem)
         assert np.allclose(u, np.linalg.solve(Kb.toarray(), fb), rtol=1e-9)
 
-    def test_cg_backend_agrees_with_direct(self, traction):
-        state = loaded_state(traction, 0.4)
-        u_dir, _ = elastic_step(state, traction.problem, SolverConfig())
-        u_cg, kit = elastic_step(state, traction.problem,
-                                 SolverConfig(elastic="cg",
-                                              elastic_rtol=1e-12))
-        assert kit > 0
-        assert np.allclose(u_cg, u_dir, atol=1e-8 * (1 + np.max(np.abs(u_dir))))
-
     def test_homogeneous_solution_is_exact(self, traction):
         # u = (t x1, -nu t x2) is representable by linear elements
         state = loaded_state(traction, 0.4)
-        u, _ = elastic_step(state, traction.problem, SolverConfig())
+        u = elastic_step(state, traction.problem)
         v = traction.mesh.vertices
         t = 0.4 * traction.params["critical_traction"]
         assert np.allclose(u[0::2], t * v[:, 0], atol=1e-10)
@@ -110,13 +101,13 @@ class TestDamageStep:
 
     def test_subcritical_strain_keeps_damage_zero(self, traction):
         state = loaded_state(traction, 0.5)
-        state.u, _ = elastic_step(state, traction.problem, SolverConfig())
+        state.u = elastic_step(state, traction.problem)
         alpha, _ = damage_step(state, traction.problem, SolverConfig())
         assert np.max(alpha) == 0.0
 
     def test_supercritical_strain_grows_damage(self, traction):
         state = loaded_state(traction, 1.4)
-        state.u, _ = elastic_step(state, traction.problem, SolverConfig())
+        state.u = elastic_step(state, traction.problem)
         alpha, _ = damage_step(state, traction.problem, SolverConfig())
         assert np.max(alpha) > 0.1
         assert np.max(alpha) <= 1.0 + 1e-12
@@ -208,7 +199,7 @@ class TestResidualAndBlocks:
         nu = traction.problem.n_udofs
         assert r.size == nu + traction.mesh.n_vertices
         # the displacement half vanishes after a solve, boundary rows included
-        state.u, _ = elastic_step(state, traction.problem, SolverConfig())
+        state.u = elastic_step(state, traction.problem)
         r = first_order_residual(state, traction.problem)
         assert np.max(np.abs(r[:nu])) <= 1e-10
 
@@ -354,8 +345,8 @@ class TestDispatch:
         assert rep.am_iterations == 0 and rep.newton_attempts == 1
 
     def test_newton_only_hands_newton_exact_boundary_rows(self, monkeypatch):
-        # a CG presolve meets the Dirichlet rows only to round-off; the
-        # coupled Newton solve needs them exact
+        # the coupled Newton solve needs exact Dirichlet rows; the LU
+        # presolve of the eliminated system returns them exactly
         setup = setup_surfing(MAT, h=0.05, n_steps=2, t_end=0.05)
         seen = []
 
@@ -364,7 +355,7 @@ class TestDispatch:
             return coupled_newton_solve(state, problem, config, **kwargs)
 
         monkeypatch.setattr(phasefrac.solver, "coupled_newton_solve", capture)
-        run_quasistatic(setup, SolverConfig(method="newton_only", elastic="cg"),
+        run_quasistatic(setup, SolverConfig(method="newton_only"),
                         snapshot_stride=0)
         assert len(seen) == 2
         for u_bc, ubar in seen:
