@@ -12,8 +12,9 @@ The package provides
   (``mesh``);
 * material data and closed-form critical loads (``model``);
 * linear P1 assembly of energies, residuals, and Hessian blocks (``fem``);
-* hand-rolled MINRES, sparse LU through SuperLU, a Chebyshev preconditioner,
-  and a block field-split preconditioner (``linalg``);
+* hand-rolled MINRES, sparse LU through SuperLU, CG on a lagged LU, a
+  Chebyshev preconditioner, and a block field-split preconditioner
+  (``linalg``);
 * a reduced-space active-set semismooth Newton solver for box-constrained
   systems (``vi``);
 * alternate minimization with over-relaxation, optionally composed with a
@@ -35,8 +36,8 @@ from .fem import (DirichletBC, Discretization, EnergyBreakdown, State,
                   assemble_residual_u, combine_bcs, eliminate_dirichlet,
                   impose_dirichlet)
 from .linalg import (BlockJacobian, BreakdownError, ChebyshevPreconditioner,
-                     FieldSplitPreconditioner, LinearSolveReport,
-                     LinearSolverError, SingularOperatorError,
+                     FieldSplitPreconditioner, LaggedFactorization,
+                     LinearSolveReport, LinearSolverError, SingularOperatorError,
                      direct_factorize, extract_submatrix, inner_chebyshev,
                      inner_direct, minres_solve)
 from .mesh import Mesh, banded_rect_mesh, boundary_dofs, rect_mesh
@@ -65,7 +66,8 @@ __all__ = [
     "combine_bcs", "eliminate_dirichlet", "impose_dirichlet",
     # linalg
     "BlockJacobian", "BreakdownError", "ChebyshevPreconditioner",
-    "FieldSplitPreconditioner", "LinearSolveReport", "LinearSolverError",
+    "FieldSplitPreconditioner", "LaggedFactorization", "LinearSolveReport",
+    "LinearSolverError",
     "SingularOperatorError", "direct_factorize",
     "extract_submatrix", "inner_chebyshev", "inner_direct", "minres_solve",
     # mesh

@@ -39,10 +39,13 @@ def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
 
     try:
-        text = Path(args.config_file).read_text()
+        text = Path(args.config_file).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot read {args.config_file}: {exc}", file=sys.stderr)
         return 4
+    except UnicodeDecodeError as exc:
+        print(f"config error: {args.config_file} is not UTF-8 text: {exc}", file=sys.stderr)
+        return 2
 
     try:
         if args.command == "validate":

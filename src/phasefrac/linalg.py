@@ -1,9 +1,12 @@
-"""Sparse linear algebra kernels: MINRES, direct solves, block preconditioner.
+"""Sparse linear algebra kernels: MINRES, direct solves, lagged-LU CG, block
+preconditioner.
 
 Matrices are scipy CSR (compressed-row storage with sorted, duplicate-free
 indices).  MINRES is written out longhand because its iteration counts and
 residual norms are reported quantities; direct factorization delegates to
-SuperLU.
+SuperLU.  A sequence of nearby SPD systems can reuse one LU as the
+preconditioner of a short CG solve, refactoring only when CG misses its
+iteration budget.
 
 Operators need ``shape`` and ``A @ x``; preconditioners need ``matvec(r)``,
 which applies a fixed SPD approximation of the inverse.
@@ -179,6 +182,68 @@ def direct_factorize(A, spd: bool = True) -> DirectFactorization:
     except RuntimeError as exc:
         raise SingularOperatorError(f"singular matrix in LU factorization: {exc}") from exc
     return DirectFactorization(lu)
+
+
+def _pcg(A, b: np.ndarray, x0: np.ndarray, precond: Callable, atol: float,
+         maxit: int):
+    """Preconditioned CG from ``x0`` until ||b - A x|| <= atol, at most ``maxit``
+    iterations; a NaN or a loss of positive curvature ends it unconverged."""
+    x = x0.copy()
+    r = b - A @ x
+    rnorm = float(np.linalg.norm(r))
+    it = 0
+    if rnorm > atol and maxit > 0:
+        z = precond(r)
+        p = z
+        rz = float(r @ z)
+        while it < maxit:
+            it += 1
+            Ap = A @ p
+            pAp = float(p @ Ap)
+            if not pAp > 0.0:
+                break
+            step = rz / pAp
+            x += step * p
+            r -= step * Ap
+            rnorm = float(np.linalg.norm(r))
+            if rnorm <= atol:
+                break
+            z = precond(r)
+            rz_new = float(r @ z)
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+    return x, LinearSolveReport(it, rnorm, rnorm <= atol)
+
+
+class LaggedFactorization:
+    """Solves a sequence of nearby SPD systems with the LU of an earlier one.
+
+    ``solve`` runs CG preconditioned by the held factorization, started from
+    the caller's guess.  If CG has not reached ``atol`` (absolute, on the
+    unpreconditioned residual) within ``max_iterations``, or nothing is held
+    yet, the held factorization is released, the current matrix is factored
+    and kept, and its exact solve is returned.  At most one factorization is
+    alive at a time.  ``factorizations`` and ``cg_iterations`` count the work
+    done over the holder's life.
+    """
+
+    def __init__(self, atol: float, max_iterations: int):
+        self.atol = atol
+        self.max_iterations = max_iterations
+        self.factor: Optional[DirectFactorization] = None
+        self.factorizations = 0
+        self.cg_iterations = 0
+
+    def solve(self, A, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        if self.factor is not None:
+            x, rep = _pcg(A, b, x0, self.factor.solve, self.atol, self.max_iterations)
+            self.cg_iterations += rep.iterations
+            if rep.converged:
+                return x
+        self.factor = None   # freed before the next is built, to bound peak memory
+        self.factor = direct_factorize(A)
+        self.factorizations += 1
+        return self.factor.solve(b)
 
 
 # -- submatrix extraction ------------------------------------------------------

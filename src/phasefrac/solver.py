@@ -6,8 +6,9 @@ residual composed through the Fischer-Burmeister function against the bounds
 ``alpha_lb <= alpha <= 1``).  Boundary data is read and imposed only through
 ``fem``:
 
-* ``am_solve`` -- alternate minimization: exact linear solve in u at fixed
-  alpha, then a bound-constrained damage solve at fixed u, with optional
+* ``am_solve`` -- alternate minimization: linear solve in u at fixed alpha
+  (CG on the last elastic LU of the call, refactored when CG misses its
+  budget), then a bound-constrained damage solve at fixed u, with optional
   over-relaxation ``omega`` of both half-step increments.  Over-relaxed
   damage updates that leave the box are backtracked toward the unrelaxed
   update (midpoint rule) until feasible.  With ``omega = 1`` the total energy
@@ -33,9 +34,9 @@ from .fem import (Discretization, State, apply_dirichlet, assemble_energy,
                   assemble_Kaa, assemble_Kua, assemble_Kuu, assemble_load_u,
                   assemble_residual_alpha, assemble_residual_u,
                   impose_dirichlet)
-from .linalg import (BlockJacobian, FieldSplitPreconditioner, LinearSolverError,
-                     direct_factorize, extract_submatrix, inner_chebyshev,
-                     inner_direct, minres_solve)
+from .linalg import (BlockJacobian, FieldSplitPreconditioner, LaggedFactorization,
+                     LinearSolverError, direct_factorize, extract_submatrix,
+                     inner_chebyshev, inner_direct, minres_solve)
 from .vi import MCProblem, classify_active, fb_composite, rsls_solve
 
 #: the choice-valued fields of SolverConfig and their admissible values
@@ -43,6 +44,11 @@ CHOICES = {"method": ("am", "oram_newton", "newton_only"),
            "coupled": ("direct", "fieldsplit"), "fieldsplit_inner": ("direct", "chebyshev")}
 #: damage subproblem tolerance, as a fraction of ``outer_atol``
 DAMAGE_ATOL_FACTOR = 0.1
+#: elastic CG tolerance inside alternate minimization, as a fraction of
+#: ``outer_atol``; looser tolerances move the final energies by more than 1e-10
+ELASTIC_ATOL_FACTOR = 1e-4
+#: CG iterations on the lagged elastic LU before the elastic block is refactored
+LAGGED_CG_ITERATIONS = 5
 MAX_VI_ITERATIONS = 200
 #: largest estimated remaining damage travel at a Newton hand-off
 NEWTON_DALPHA = 1e-6
@@ -123,15 +129,23 @@ def residual_norm(state: State, problem: Discretization) -> float:
 # -- half-steps -----------------------------------------------------------------
 
 
-def elastic_step(state: State, problem: Discretization) -> np.ndarray:
-    """Minimize the energy in u at fixed alpha: one sparse LU solve.
+def elastic_step(state: State, problem: Discretization,
+                 lagged: Optional[LaggedFactorization] = None) -> np.ndarray:
+    """Minimize the energy in u at fixed alpha.
 
-    The Dirichlet rows of the returned u hold the boundary data exactly.
+    Without ``lagged`` this is one sparse LU solve.  With it, CG started from
+    ``state.u`` and preconditioned by the held LU solves the system to
+    ``lagged.atol``, and a budget miss refactors (see
+    :class:`~phasefrac.linalg.LaggedFactorization`).  Either way the
+    Dirichlet rows of the returned u hold the boundary data exactly when
+    those of ``state.u`` do, or when the system was factored.
     """
     K = assemble_Kuu(state, problem, apply_bc=False)
     f = assemble_load_u(state, problem)
     K, f = apply_dirichlet(K, f, problem)
-    return direct_factorize(K).solve(f)
+    if lagged is None:
+        return direct_factorize(K).solve(f)
+    return lagged.solve(K, f, state.u)
 
 
 def damage_step(state: State, problem: Discretization, config: SolverConfig):
@@ -159,6 +173,13 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
              log: Optional[Log] = None) -> NonlinearReport:
     """Alternate minimization with over-relaxation; mutates ``state`` in place.
 
+    The first sweep factors the elastic block.  Later sweeps solve it by CG
+    from the current iterate, preconditioned by the last factorization of this
+    call, to ``ELASTIC_ATOL_FACTOR * outer_atol``; after
+    ``LAGGED_CG_ITERATIONS`` iterations without reaching it, the current
+    block is factored and solved exactly instead (the old factorization is
+    released first).
+
     Stops when the optimality norm drops below ``outer_atol``.  When ``rtol``
     is given (the hand-off phase of the composite method) it may stop earlier,
     once the norm falls below ``rtol`` times its entry value *and* the damage
@@ -180,12 +201,14 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
     report.energy_history.append(assemble_energy(state, problem))
     report.residual_history.append(phi0)
 
+    lagged = LaggedFactorization(ELASTIC_ATOL_FACTOR * config.outer_atol,
+                                 LAGGED_CG_ITERATIONS)
     d_prev = None
     while report.am_iterations < config.max_am_iterations:
         report.am_iterations += 1
 
         u_prev = state.u.copy()
-        u_star = elastic_step(state, problem)
+        u_star = elastic_step(state, problem, lagged)
         state.u = u_prev + config.omega * (u_star - u_prev)
         impose_dirichlet(state, problem)
 

@@ -1,4 +1,7 @@
-"""MINRES, direct solves, preconditioners, block operators, sparse utilities."""
+"""MINRES, direct solves, lagged-LU CG, preconditioners, block operators,
+sparse utilities."""
+
+import weakref
 
 import numpy as np
 import pytest
@@ -6,10 +9,12 @@ import scipy.sparse as sp
 
 from conftest import random_spd
 
+import phasefrac.linalg
 from phasefrac.cases import run_quasistatic, setup_surfing
 from phasefrac.fem import State, assemble_Kuu
 from phasefrac.linalg import (BlockJacobian, ChebyshevPreconditioner,
-                              FieldSplitPreconditioner, SingularOperatorError,
+                              FieldSplitPreconditioner, LaggedFactorization,
+                              SingularOperatorError,
                               direct_factorize, extract_submatrix, inner_chebyshev,
                               inner_direct, minres_solve)
 from phasefrac.solver import SolverConfig, inactive_block_jacobian
@@ -142,6 +147,90 @@ class TestDirect:
         assert fill(spd) <= fill(pivoted)
         b = np.ones(K.shape[0])
         assert np.linalg.norm(b - K @ spd.solve(b)) <= 1e-10 * np.linalg.norm(b)
+
+
+class TestLaggedFactorization:
+    N = 20                 # 2D Laplacian on an N x N grid
+    ATOL = 1e-9
+    BUDGET = 4
+
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        calls = []
+        factorize = phasefrac.linalg.direct_factorize
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return factorize(*args, **kwargs)
+
+        monkeypatch.setattr(phasefrac.linalg, "direct_factorize", counted)
+        return calls
+
+    def held(self, A):
+        """A holder whose factorization is that of ``A``."""
+        lagged = LaggedFactorization(self.ATOL, self.BUDGET)
+        lagged.solve(A, np.ones(A.shape[0]), np.zeros(A.shape[0]))
+        assert lagged.factorizations == 1 and lagged.cg_iterations == 0
+        return lagged
+
+    def damaged(self, scale):
+        """S L S + I with L the Laplacian and S = sqrt(scale) on the left half
+        of the grid, 1 elsewhere: SPD, like a degraded elastic block."""
+        left = np.arange(self.N * self.N) % self.N < self.N // 2
+        S = sp.diags(np.where(left, np.sqrt(scale), 1.0))
+        return (S @ laplacian_2d(self.N) @ S + sp.eye(self.N * self.N)).tocsr()
+
+    def test_exact_factor_needs_at_most_one_iteration(self, factorizations):
+        A = self.damaged(1.0)
+        lagged = self.held(A)
+        b = np.linspace(-1.0, 2.0, A.shape[0])
+        x = lagged.solve(A, b, np.zeros_like(b))
+        assert lagged.cg_iterations <= 1
+        assert len(factorizations) == 1 and lagged.factorizations == 1
+        assert np.linalg.norm(b - A @ x) <= self.ATOL
+
+    def test_nearby_matrix_keeps_the_factor(self, factorizations):
+        lagged = self.held(self.damaged(1.0))
+        held = lagged.factor
+        A = self.damaged(0.999)
+        b = np.linspace(-1.0, 2.0, A.shape[0])
+        x = lagged.solve(A, b, np.zeros_like(b))
+        assert 1 <= lagged.cg_iterations <= self.BUDGET
+        assert len(factorizations) == 1 and lagged.factor is held
+        assert np.linalg.norm(b - A @ x) <= self.ATOL
+
+    def test_far_matrix_refactors_once(self, factorizations):
+        lagged = self.held(self.damaged(1.0))
+        A = self.damaged(1e-3)
+        b = np.linspace(-1.0, 2.0, A.shape[0])
+        x = lagged.solve(A, b, np.zeros_like(b))
+        assert lagged.cg_iterations == self.BUDGET
+        assert len(factorizations) == 2 and lagged.factorizations == 2
+        expected = direct_factorize(A).solve(b)
+        assert np.allclose(x, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+    def test_old_factor_released_before_refactoring(self, monkeypatch):
+        lagged = self.held(self.damaged(1.0))
+        old = weakref.ref(lagged.factor)
+        factorize = phasefrac.linalg.direct_factorize
+        alive = []
+
+        def check(*args, **kwargs):
+            alive.append(old() is not None)
+            return factorize(*args, **kwargs)
+
+        monkeypatch.setattr(phasefrac.linalg, "direct_factorize", check)
+        b = np.ones(self.N * self.N)
+        lagged.solve(self.damaged(1e-3), b, np.zeros_like(b))
+        assert alive == [False]
+
+    def test_non_finite_matrix_raises(self):
+        lagged = self.held(self.damaged(1.0))
+        A = self.damaged(1.0).tolil()
+        A[3, 3] = np.nan
+        b = np.ones(self.N * self.N)
+        with pytest.raises(SingularOperatorError):
+            lagged.solve(A.tocsr(), b, np.zeros_like(b))
 
 
 class TestSubmatrix:

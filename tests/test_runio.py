@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import phasefrac.linalg
 import phasefrac.runio
-import phasefrac.solver
 from phasefrac import cli
 from phasefrac.linalg import SingularOperatorError
 from phasefrac.runio import (ConfigError, ENERGY_COLUMNS, ITERATION_COLUMNS,
@@ -324,22 +324,23 @@ class TestRunArtifacts:
 
 class TestFailureArtifacts:
     def test_linear_solver_error_keeps_artifacts(self, tmp_path, monkeypatch):
-        factorize = phasefrac.solver.direct_factorize
+        factorize = phasefrac.linalg.direct_factorize
         calls = []
 
-        def failing_after_40(*args, **kwargs):
+        def failing_after_10(*args, **kwargs):
             calls.append(1)
-            if len(calls) > 40:
+            if len(calls) > 10:
                 raise SingularOperatorError("injected zero pivot")
             return factorize(*args, **kwargs)
 
-        monkeypatch.setattr(phasefrac.solver, "direct_factorize", failing_after_40)
+        monkeypatch.setattr(phasefrac.linalg, "direct_factorize", failing_after_10)
         out = tmp_path / "f"
         cfgfile = tmp_path / "config.ini"
         cfgfile.write_text(TRACTION_SMOKE.format(out=out))
         assert cli.main(["run", str(cfgfile)]) == 3
         rows = read_csv(out / "energies.csv")
-        # steps 0 and 1 take 37 elastic solves; step 2 fails
+        # steps 0 and 1 take 8 elastic factorizations; step 2 fails at a
+        # refactorization after a missed CG budget
         assert [r["step"] for r in rows] == ["0", "1"]
         failed = (out / "FAILED.txt").read_text()
         assert "at step 2 " in failed
@@ -510,6 +511,14 @@ class TestCommandLine:
         res = self.cli("run", str(cfgfile))
         assert res.returncode == 2
         assert "omega" in res.stderr
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_utf8_file_is_a_config_error(self, tmp_path, command, capsys):
+        cfgfile = tmp_path / "bad.ini"
+        cfgfile.write_bytes(b"\xff\xfe[case]\n")
+        assert cli.main([command, str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "UTF-8" in err
 
     def test_missing_file_exits_4(self, tmp_path):
         res = self.cli("run", str(tmp_path / "absent.ini"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import phasefrac.linalg
 import phasefrac.solver
 from phasefrac.cases import StepFailureError, run_quasistatic, setup_surfing, setup_traction
 from phasefrac.fem import (State, apply_dirichlet, assemble_energy, assemble_Kuu, assemble_load_u,
@@ -181,6 +182,52 @@ class TestAlternateMinimization:
         assert failure.value.step == 0
         assert failure.value.report.am_iterations == 1
         assert not np.isfinite(failure.value.report.final_residual_norm)
+
+
+class TestLaggedElasticSolve:
+    @staticmethod
+    def surfing_am(monkeypatch):
+        """Short surfing ORAM run; returns (records, elastic factorizations,
+        (u_star boundary rows, boundary data) per sweep)."""
+        factorizations = []
+        for module in (phasefrac.solver, phasefrac.linalg):
+            def counted(*args, _factorize=module.direct_factorize, **kwargs):
+                factorizations.append(1)
+                return _factorize(*args, **kwargs)
+
+            monkeypatch.setattr(module, "direct_factorize", counted)
+        boundary_rows = []
+
+        def capture(state, problem, *args):
+            u = elastic_step(state, problem, *args)
+            boundary_rows.append((u[problem.bc.dofs], problem.bc.values.copy()))
+            return u
+
+        monkeypatch.setattr(phasefrac.solver, "elastic_step", capture)
+        setup = setup_surfing(MAT, h=0.05, n_steps=3, t_end=0.1)
+        records = run_quasistatic(setup, SolverConfig(omega=1.6), snapshot_stride=0)
+        return records, len(factorizations), boundary_rows
+
+    def test_fewer_factorizations_than_sweeps(self, monkeypatch):
+        records, factorizations, _ = self.surfing_am(monkeypatch)
+        sweeps = sum(rec.report.am_iterations for rec in records)
+        assert len(records) <= factorizations < sweeps
+
+    def test_matches_refactoring_every_sweep(self, monkeypatch):
+        lagged, _, _ = self.surfing_am(monkeypatch)
+        monkeypatch.setattr(phasefrac.solver, "LAGGED_CG_ITERATIONS", 0)
+        exact, factorizations, _ = self.surfing_am(monkeypatch)
+        assert factorizations == sum(rec.report.am_iterations for rec in exact)
+        assert ([rec.report.am_iterations for rec in lagged]
+                == [rec.report.am_iterations for rec in exact])
+        for a, b in zip(lagged, exact):
+            assert abs(a.energy.total - b.energy.total) <= 1e-10 * abs(b.energy.total)
+
+    def test_dirichlet_rows_exact_after_every_sweep(self, monkeypatch):
+        records, _, boundary_rows = self.surfing_am(monkeypatch)
+        assert len(boundary_rows) == sum(rec.report.am_iterations for rec in records)
+        for u_bc, ubar in boundary_rows:
+            assert u_bc.tobytes() == ubar.tobytes()
 
 
 class TestResidualAndBlocks:
