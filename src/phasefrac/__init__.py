@@ -12,9 +12,8 @@ The package provides
   (``mesh``);
 * material data and closed-form critical loads (``model``);
 * linear P1 assembly of energies, residuals, and Hessian blocks (``fem``);
-* hand-rolled MINRES, sparse LU through SuperLU, CG on a lagged LU, a
-  Chebyshev preconditioner, and a block field-split preconditioner
-  (``linalg``);
+* hand-rolled MINRES, sparse LU through SuperLU, CG on a lagged LU, and a
+  block field-split preconditioner with LU block inverses (``linalg``);
 * a reduced-space active-set semismooth Newton solver for box-constrained
   systems (``vi``);
 * alternate minimization with over-relaxation, optionally composed with a
@@ -35,10 +34,9 @@ from .fem import (DirichletBC, Discretization, EnergyBreakdown, State,
                   assemble_Kuu, assemble_load_u, assemble_residual_alpha,
                   assemble_residual_u, combine_bcs, eliminate_dirichlet,
                   impose_dirichlet)
-from .linalg import (BlockJacobian, BreakdownError, ChebyshevPreconditioner,
-                     FieldSplitPreconditioner, LaggedFactorization,
-                     LinearSolveReport, LinearSolverError, SingularOperatorError,
-                     direct_factorize, extract_submatrix, inner_chebyshev,
+from .linalg import (BlockJacobian, BreakdownError, FieldSplitPreconditioner,
+                     LaggedFactorization, LinearSolveReport, LinearSolverError,
+                     SingularOperatorError, direct_factorize, extract_submatrix,
                      inner_direct, minres_solve)
 from .mesh import Mesh, banded_rect_mesh, boundary_dofs, rect_mesh
 from .model import (C_W, Material, critical_shock, critical_traction,
@@ -65,11 +63,10 @@ __all__ = [
     "assemble_load_u", "assemble_residual_alpha", "assemble_residual_u",
     "combine_bcs", "eliminate_dirichlet", "impose_dirichlet",
     # linalg
-    "BlockJacobian", "BreakdownError", "ChebyshevPreconditioner",
-    "FieldSplitPreconditioner", "LaggedFactorization", "LinearSolveReport",
-    "LinearSolverError",
-    "SingularOperatorError", "direct_factorize",
-    "extract_submatrix", "inner_chebyshev", "inner_direct", "minres_solve",
+    "BlockJacobian", "BreakdownError", "FieldSplitPreconditioner",
+    "LaggedFactorization", "LinearSolveReport", "LinearSolverError",
+    "SingularOperatorError", "direct_factorize", "extract_submatrix",
+    "inner_direct", "minres_solve",
     # mesh
     "Mesh", "banded_rect_mesh", "boundary_dofs", "rect_mesh",
     # model

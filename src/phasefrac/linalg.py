@@ -6,7 +6,8 @@ indices).  MINRES is written out longhand because its iteration counts and
 residual norms are reported quantities; direct factorization delegates to
 SuperLU.  A sequence of nearby SPD systems can reuse one LU as the
 preconditioner of a short CG solve, refactoring only when CG misses its
-iteration budget.
+iteration budget.  The field-split block preconditioner inverts its diagonal
+blocks with one LU each (``inner_direct``).
 
 Operators need ``shape`` and ``A @ x``; preconditioners need ``matvec(r)``,
 which applies a fixed SPD approximation of the inverse.
@@ -256,60 +257,6 @@ def extract_submatrix(A: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> s
     return sub
 
 
-# -- Chebyshev preconditioner --------------------------------------------------
-
-
-#: polynomial degree of the Chebyshev preconditioner
-CHEBYSHEV_DEGREE = 5
-
-
-class ChebyshevPreconditioner:
-    """Degree-CHEBYSHEV_DEGREE Chebyshev polynomial in the Jacobi-scaled operator.
-
-    A linear SPD operator approximating A^-1 on the interval
-    [lambda_max/30, 1.1 lambda_max], with lambda_max of D^-1 A estimated by
-    30 steps of deterministic power iteration at construction.
-    """
-
-    def __init__(self, A):
-        self._A = sp.csr_matrix(A)
-        d = np.asarray(A.diagonal(), dtype=float)
-        if np.any(d <= 0):
-            raise ValueError("chebyshev preconditioner needs a positive diagonal")
-        self._dinv = 1.0 / d
-        n = A.shape[0]
-        v = 1.0 + np.arange(n) / max(n - 1, 1)  # deterministic, not A-orthogonal
-        v /= np.linalg.norm(v)
-        lam = 1.0
-        for _ in range(30):
-            w = self._dinv * (self._A @ v)
-            lam = np.linalg.norm(w)
-            if lam == 0.0:
-                raise ValueError("chebyshev: operator appears to be zero")
-            v = w / lam
-        hi = 1.1 * lam
-        lo = hi / 30.0
-        self._theta = 0.5 * (hi + lo)
-        self._delta = 0.5 * (hi - lo)
-        self.shape = A.shape
-
-    def matvec(self, r: np.ndarray) -> np.ndarray:
-        # Chebyshev acceleration of the Jacobi splitting, x0 = 0
-        theta, delta = self._theta, self._delta
-        sigma1 = theta / delta
-        rho = 1.0 / sigma1
-        res = self._dinv * r
-        d = res / theta
-        x = d.copy()
-        for _ in range(CHEBYSHEV_DEGREE - 1):
-            res = res - self._dinv * (self._A @ d)
-            rho_new = 1.0 / (2.0 * sigma1 - rho)
-            d = rho_new * rho * d + (2.0 * rho_new / delta) * res
-            rho = rho_new
-            x = x + d
-        return x
-
-
 # -- field-split block preconditioner -------------------------------------------
 
 
@@ -348,14 +295,3 @@ def inner_direct(M) -> Callable[[np.ndarray], np.ndarray]:
     fact = direct_factorize(M)
     return fact.solve
 
-
-def inner_chebyshev(M) -> Callable[[np.ndarray], np.ndarray]:
-    """Inexact inner solver: a fixed Chebyshev polynomial in M.
-
-    Unlike a fixed budget of CG, whose result depends nonlinearly on the
-    right-hand side, this is one linear SPD operator, as MINRES requires of
-    its preconditioner.
-    """
-    if M.shape[0] == 0:
-        return lambda b: np.zeros(0)
-    return ChebyshevPreconditioner(M).matvec

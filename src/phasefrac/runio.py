@@ -32,7 +32,7 @@ is optional and validated; unknown sections or keys are errors:
 
     [linear]
     coupled = fieldsplit       ; direct | fieldsplit
-    fieldsplit_inner = direct  ; direct | chebyshev
+    fieldsplit_inner = direct  ; direct (the only value; kept for existing configs)
     fieldsplit_rtol = 1e-06
 
     [output]
@@ -191,6 +191,8 @@ class SweepSpec:
         names = [_row_dirname(self.parameter, v) for v in self.values]
         if len(set(names)) < len(names):
             raise ConfigError(f"sweep values {self.values} share the output directories {names}")
+        for value in self.values:   # every row's config is checked before any row runs
+            configure(self.base, **{self.parameter: value})
 
 
 def _row_dirname(parameter: str, value) -> str:

@@ -36,12 +36,12 @@ from .fem import (Discretization, State, apply_dirichlet, assemble_energy,
                   impose_dirichlet)
 from .linalg import (BlockJacobian, FieldSplitPreconditioner, LaggedFactorization,
                      LinearSolverError, direct_factorize, extract_submatrix,
-                     inner_chebyshev, inner_direct, minres_solve)
-from .vi import MCProblem, classify_active, fb_composite, rsls_solve
+                     inner_direct, minres_solve)
+from .vi import MCProblem, active_set_slack, classify_active, fb_composite, rsls_solve
 
 #: the choice-valued fields of SolverConfig and their admissible values
 CHOICES = {"method": ("am", "oram_newton", "newton_only"),
-           "coupled": ("direct", "fieldsplit"), "fieldsplit_inner": ("direct", "chebyshev")}
+           "coupled": ("direct", "fieldsplit"), "fieldsplit_inner": ("direct",)}
 #: damage subproblem tolerance, as a fraction of ``outer_atol``
 DAMAGE_ATOL_FACTOR = 0.1
 #: elastic CG tolerance inside alternate minimization, as a fraction of
@@ -75,7 +75,7 @@ class SolverConfig:
     max_newton_iterations: int = 30
     max_outer_cycles: int = 20
     coupled: str = field(default="fieldsplit", metadata=_LINEAR)   # Newton inactive block
-    fieldsplit_inner: str = field(default="direct", metadata=_LINEAR)  # block inverses
+    fieldsplit_inner: str = field(default="direct", metadata=_LINEAR)  # LU; one value
     fieldsplit_rtol: float = field(default=1e-6, metadata=_LINEAR)
 
     def __post_init__(self):
@@ -279,8 +279,7 @@ def _make_coupled_linear_solver(config: SolverConfig):
         red, _, _ = _inactive_blocks(J, inactive)
         if config.coupled == "direct":
             return direct_factorize(red.to_csr(), spd=False).solve(rhs), None
-        inner = inner_direct if config.fieldsplit_inner == "direct" else inner_chebyshev
-        precond = FieldSplitPreconditioner(red, inner(red.A), inner(red.C))
+        precond = FieldSplitPreconditioner(red, inner_direct(red.A), inner_direct(red.C))
         d, rep = minres_solve(red, rhs, precond=precond, rtol=config.fieldsplit_rtol)
         if not rep.converged:
             raise LinearSolverError(
@@ -450,6 +449,5 @@ def inactive_block_jacobian(state: State, problem: Discretization):
     """
     mcp = coupled_mcp(state, problem)
     x = np.concatenate([state.u, state.alpha])
-    zeta = 1e-10 * (1.0 + float(np.max(np.abs(x))))   # the slack rsls_solve uses
-    part = classify_active(x, mcp.residual(x), mcp.lower, mcp.upper, zeta)
+    part = classify_active(x, mcp.residual(x), mcp.lower, mcp.upper, active_set_slack(x))
     return _inactive_blocks(mcp.jacobian(x), part.inactive)

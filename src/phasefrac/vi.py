@@ -155,6 +155,12 @@ def reduced_direct_solver(J, inactive: np.ndarray, rhs: np.ndarray):
     return direct_factorize(sub).solve(rhs), None
 
 
+def active_set_slack(x: np.ndarray) -> float:
+    """Distance to a bound within which ``rsls_solve`` may freeze a component
+    of the iterate ``x``: 1e-10 * (1 + |x|_inf)."""
+    return 1e-10 * (1.0 + float(np.max(np.abs(x), initial=0.0)))
+
+
 def rsls_solve(problem: MCProblem, x0: np.ndarray, abs_tol: float = 1e-8,
                max_iterations: int = 100, linear_solver=None):
     """Reduced-space active-set semismooth Newton solve of the MCP.
@@ -162,12 +168,11 @@ def rsls_solve(problem: MCProblem, x0: np.ndarray, abs_tol: float = 1e-8,
     Stops when ||Phi|| <= ``abs_tol`` or after ``max_iterations``.  Returns
     (x, ActiveSetReport).  Every iterate is exactly feasible (trial points are
     clamped to the box); the merit ||Phi||^2 never increases across accepted
-    iterations.  The active-set slack is 1e-10 * (1 + |x0|_inf).
+    iterations.  The active-set slack is ``active_set_slack`` of the clamped x0.
     """
     linear_solver = linear_solver or reduced_direct_solver
     x = np.clip(np.asarray(x0, dtype=float), problem.lower, problem.upper)
-    scale = float(np.max(np.abs(x))) if x.size else 0.0
-    zeta = 1e-10 * (1.0 + scale)
+    zeta = active_set_slack(x)
 
     report = ActiveSetReport(0, False, np.inf)
     F = problem.residual(x)

@@ -22,7 +22,8 @@ def test_exports_are_the_public_imports():
 def test_retired_names_are_gone():
     for name in ("VIConfig", "stationary_precond", "inner_cg", "InnerSolverError",
                  "SSORPreconditioner", "STATIONARY", "BOUNDARY_TAGS", "internal_length",
-                 "mcp_residual", "cg_solve", "JacobiPreconditioner"):
+                 "mcp_residual", "cg_solve", "JacobiPreconditioner",
+                 "ChebyshevPreconditioner", "inner_chebyshev", "CHEBYSHEV_DEGREE"):
         assert name not in phasefrac.__all__
         assert not hasattr(phasefrac, name)
     assert not hasattr(phasefrac.vi, "VIConfig")
@@ -34,6 +35,8 @@ def test_retired_names_are_gone():
     assert not hasattr(phasefrac.linalg, "STATIONARY")
     assert not hasattr(phasefrac.linalg, "cg_solve")
     assert not hasattr(phasefrac.linalg, "JacobiPreconditioner")
+    for name in ("ChebyshevPreconditioner", "inner_chebyshev", "CHEBYSHEV_DEGREE"):
+        assert not hasattr(phasefrac.linalg, name)
     assert not hasattr(phasefrac.mesh, "BOUNDARY_TAGS")
     assert not hasattr(phasefrac.model, "internal_length")
     assert not hasattr(phasefrac.vi, "mcp_residual")

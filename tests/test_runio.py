@@ -88,11 +88,12 @@ class TestParsing:
             return found
 
         assert keys(grammar) == keys(echo_config(RunConfig()))
-        # and every "key = a | b | c" line lists exactly the admissible values
+        # and every choice key's line ("key = a | b | c", or "key = a" for a
+        # single value) lists exactly the admissible values
         listed = {}
         for line in grammar.splitlines():
             key, _, rhs = line.split("#", 1)[0].partition("=")
-            if "|" in rhs and key.strip() in CHOICES:
+            if key.strip() in CHOICES:
                 listed[key.strip()] = tuple(v.split("(")[0].strip() for v in rhs.split("|"))
         assert listed == CHOICES
 
@@ -120,19 +121,18 @@ class TestParsing:
             parse_config(f"[solver]\nmethod = {method}\nomega = 1.3\n")
 
     def test_cg_inner_solve_retired(self):
-        # the inexact field-split inner solve is a Chebyshev polynomial now
-        with pytest.raises(ConfigError, match="fieldsplit_inner"):
-            parse_config("[linear]\nfieldsplit_inner = cg\n")
+        # the field-split blocks are inverted by LU; the inexact inner solves are gone
+        for inner in ("cg", "chebyshev"):
+            with pytest.raises(ConfigError, match="fieldsplit_inner"):
+                parse_config(f"[linear]\nfieldsplit_inner = {inner}\n")
         with pytest.raises(ConfigError, match="fieldsplit_cg_budget"):
             parse_config("[linear]\nfieldsplit_cg_budget = 5\n")
-        cfg = parse_config("[linear]\nfieldsplit_inner = chebyshev\n")
-        assert cfg.solver.fieldsplit_inner == "chebyshev"
 
     @pytest.mark.parametrize("line", ["elastic_precond = ssor", "fieldsplit_degree = 3",
                                       "elastic = cg", "elastic_rtol = 1e-10"])
     def test_retired_linear_keys_rejected(self, line):
-        # the elastic half-step is always a sparse LU solve; the Chebyshev
-        # degree is a constant
+        # the elastic half-step is always a sparse LU solve; the inexact
+        # field-split inner solves are gone
         with pytest.raises(ConfigError, match=line.split(" =")[0]):
             parse_config(f"[linear]\n{line}\n")
 
@@ -459,6 +459,16 @@ max_am_iterations = 200
     def test_values_sharing_a_directory_rejected(self, values):
         with pytest.raises(ConfigError, match="share the output directories"):
             parse_sweep(f"[sweep]\nparameter = omega\nvalues = {values}\n")
+
+    @pytest.mark.parametrize("parameter,values", [("omega", "1.0, 2.5"), ("h", "0.1, -1")])
+    def test_invalid_value_rejected_before_any_row_runs(self, tmp_path, parameter, values):
+        text = f"[sweep]\nparameter = {parameter}\nvalues = {values}\n[case]\nname = traction\n"
+        with pytest.raises(ConfigError, match=parameter):
+            parse_sweep(text)
+        cfgfile = tmp_path / "sweep.ini"
+        cfgfile.write_text(text)
+        assert cli.main(["sweep", str(cfgfile), "--output-dir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_sweep_parameter_rejected(self):
         with pytest.raises(ConfigError, match="wavelength"):

@@ -52,8 +52,9 @@ class TestConfigValidation:
             SolverConfig(method="fancy")
 
     def test_unknown_linear_choices_rejected(self):
-        with pytest.raises(ValueError):
-            SolverConfig(fieldsplit_inner="lu")
+        for inner in ("lu", "chebyshev"):
+            with pytest.raises(ValueError, match="fieldsplit_inner"):
+                SolverConfig(fieldsplit_inner=inner)
         with pytest.raises(ValueError):
             SolverConfig(coupled="amg")
 
@@ -282,6 +283,22 @@ class TestResidualAndBlocks:
         x = np.random.default_rng(1).standard_normal(iu.size + ia.size)
         y = np.random.default_rng(2).standard_normal(iu.size + ia.size)
         assert x @ (J @ y) == pytest.approx(y @ (J @ x), rel=1e-10)
+
+    def test_inactive_block_is_newtons_first_system(self, traction, monkeypatch):
+        # inactive_block_jacobian and rsls_solve share one active-set slack,
+        # so the block studied is the one Newton's first step solves
+        state = cracking_state(traction)
+        am_solve(state, traction.problem, SolverConfig(), rtol=0.1)
+        J, iu, ia = inactive_block_jacobian(state, traction.problem)
+        assert 0 < ia.size < traction.problem.n_vertices
+        seen = []
+        blocks = phasefrac.solver._inactive_blocks
+        monkeypatch.setattr(phasefrac.solver, "_inactive_blocks",
+                            lambda J, inactive: seen.append(inactive) or blocks(J, inactive))
+        _, rep = coupled_newton_solve(state, traction.problem, SolverConfig())
+        assert rep.iterations >= 1
+        nu = traction.problem.n_udofs
+        assert np.array_equal(seen[0], np.concatenate([iu, nu + ia]))
 
 
 class TestCoupledNewton:

@@ -7,8 +7,8 @@ from hypothesis import example, given, strategies as st
 
 from conftest import qp_enumerate, random_spd
 
-from phasefrac.vi import (MCProblem, classify_active, fb_composite,
-                          fb_phi, rsls_solve)
+from phasefrac.vi import (MCProblem, active_set_slack, classify_active,
+                          fb_composite, fb_phi, rsls_solve)
 
 
 @st.composite
@@ -131,6 +131,11 @@ class TestClassifyActive:
         assert np.all(np.isfinite(upper[part.upper]))
         free = np.flatnonzero(np.isinf(lower) & np.isinf(upper))
         assert np.isin(free, part.inactive).all()
+
+
+    def test_slack_scales_with_the_iterate(self):
+        assert active_set_slack(np.zeros(0)) == 1e-10
+        assert active_set_slack(np.array([0.5, -3.0])) == 1e-10 * 4.0
 
 
 class TestRSLS:
