@@ -208,7 +208,7 @@ def setup_thermal_shock(material: Optional[Material] = None, L: float = 20.0,
     pattern never forms.
     """
     material = material or Material(ell=1.0)
-    h = material.ell / 4.0 if h is None else h
+    h = material.ell / 5.0 if h is None else h
     mesh = rect_mesh(L, H, h, jitter=jitter)
     problem = Discretization(mesh, material)
     dTc = critical_shock(material)

@@ -72,9 +72,6 @@ class BlockJacobian:
         return np.concatenate([self.A @ xu + self.B @ xa,
                                self.B.T @ xu + self.C @ xa])
 
-    def to_csr(self) -> sp.csr_matrix:
-        return sp.bmat([[self.A, self.B], [self.B.T, self.C]], format="csr")
-
 
 # -- MINRES --------------------------------------------------------------------
 
@@ -160,14 +157,13 @@ class DirectFactorization:
         return self._lu.solve(np.asarray(b, dtype=float))
 
 
-def direct_factorize(A, spd: bool = True) -> DirectFactorization:
-    """Sparse LU; an exact zero pivot or a non-finite entry raises.
+def direct_factorize(A) -> DirectFactorization:
+    """Sparse LU of a symmetric positive definite matrix; an exact zero pivot
+    or a non-finite entry raises.
 
-    ``spd=True`` is for symmetric positive definite matrices: SuperLU runs in
-    symmetric mode (minimum degree on A^T + A, pivots taken on the diagonal),
-    which keeps the symmetric structure and roughly halves the fill.
-    ``spd=False`` uses partial pivoting with a COLAMD ordering, for
-    indefinite matrices such as the coupled Newton system.
+    SuperLU runs in symmetric mode (minimum degree on A^T + A, pivots taken
+    on the diagonal), which keeps the symmetric structure and roughly halves
+    the fill of partial pivoting.
     """
     A_csc = sp.csc_matrix(A)
     if A_csc.shape[0] != A_csc.shape[1]:
@@ -175,11 +171,8 @@ def direct_factorize(A, spd: bool = True) -> DirectFactorization:
     if not np.all(np.isfinite(A_csc.data)):
         raise SingularOperatorError("non-finite entry in the matrix to factorize")
     try:
-        if spd:
-            lu = spla.splu(A_csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
-        else:
-            lu = spla.splu(A_csc)
+        lu = spla.splu(A_csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularOperatorError(f"singular matrix in LU factorization: {exc}") from exc
     return DirectFactorization(lu)

@@ -1,49 +1,10 @@
 """Configuration parsing, run orchestration, and artifact emission.
 
-Config grammar (INI, parsed case-sensitively, no interpolation) -- every key
-is optional and validated; unknown sections or keys are errors:
-
-    [case]
-    name = traction            ; traction | surfing | thermal_shock
-    ell = 0.1                  ; internal length
-    h = 0.02                   ; mesh size, default ell/5
-    L = 1.0                    ; domain length (case-dependent default)
-    H = 0.3                    ; domain height (case-dependent default)
-    n_steps = 30               ; number of load steps (case-dependent default)
-    E = 1.0                    ; Young's modulus
-    nu = 0.3                   ; Poisson ratio
-    Gc = 1.0                   ; fracture toughness
-    k_ell = 1e-06              ; residual stiffness
-    beta = 1.0                 ; thermal expansion coefficient
-    load_max_factor = 1.5      ; traction: final load in units of t_c
-    t_end = 1.0                ; surfing: final load time
-    dT_factor = 1.0            ; thermal shock: amplitude in units of dT_c
-    tau_min = 0.05             ; thermal shock: first time
-    tau_max = 3.0              ; thermal shock: last time
-
-    [solver]
-    method = am                ; am | oram_newton | newton_only
-    omega = 1.0                ; relaxation weight in (0, 2); omega != 1 is ORAM
-    outer_atol = 1e-07
-    am_rtol = 0.1
-    max_am_iterations = 1000
-    max_newton_iterations = 30
-    max_outer_cycles = 20
-
-    [linear]
-    coupled = fieldsplit       ; direct | fieldsplit
-    fieldsplit_inner = direct  ; direct (the only value; kept for existing configs)
-    fieldsplit_rtol = 1e-06
-
-    [output]
-    directory = out
-    snapshot_stride = 1        ; 0 disables field snapshots
-
-A sweep file adds one section:
-
-    [sweep]
-    parameter = omega          ; omega | ell | h | dT_factor
-    values = 1.0, 1.2, 1.6
+Configs are INI files, parsed case-sensitively with no interpolation.  Every
+key is optional and validated; unknown sections or keys are errors.  The
+README's "Full grammar" block lists every key with its default, plus the
+[sweep] section of a sweep file; a test checks it against
+``echo_config(RunConfig())``.
 
 ``run`` writes into the output directory: ``energies.csv`` (one row per load
 step, columns step,load,elastic,dissipated,total,am_iters,newton_iters,

@@ -14,8 +14,8 @@ residual composed through the Fischer-Burmeister function against the bounds
   update (midpoint rule) until feasible.  With ``omega = 1`` the total energy
   is nonincreasing across iterations.
 * ``coupled_newton_solve`` -- semismooth active-set Newton on the stacked
-  (u, alpha) system, with either a direct solve of the inactive block or
-  MINRES preconditioned by a multiplicative field split.
+  (u, alpha) system; the inactive block is solved by MINRES preconditioned by
+  a multiplicative field split with LU block inverses.
 * ``oram_n_solve`` -- outer cycles that run alternate minimization to a loose
   relative tolerance and then hand over to the coupled Newton solver; a
   failed Newton phase keeps its last (merit-nonincreasing) iterate and
@@ -41,7 +41,14 @@ from .vi import MCProblem, active_set_slack, classify_active, fb_composite, rsls
 
 #: the choice-valued fields of SolverConfig and their admissible values
 CHOICES = {"method": ("am", "oram_newton", "newton_only"),
-           "coupled": ("direct", "fieldsplit"), "fieldsplit_inner": ("direct",)}
+           "coupled": ("fieldsplit",), "fieldsplit_inner": ("direct",)}
+#: relative residual drop of the AM phase before a Newton hand-off in oram_newton
+AM_RTOL = 0.1
+MAX_NEWTON_ITERATIONS = 30
+#: AM-then-Newton cycles of one oram_newton load step
+MAX_OUTER_CYCLES = 20
+#: relative tolerance of the field-split MINRES solves inside Newton
+FIELDSPLIT_RTOL = 1e-6
 #: damage subproblem tolerance, as a fraction of ``outer_atol``
 DAMAGE_ATOL_FACTOR = 0.1
 #: elastic CG tolerance inside alternate minimization, as a fraction of
@@ -70,13 +77,10 @@ class SolverConfig:
     method: str = "am"
     omega: float = 1.0               # relaxation weight, required to lie in (0, 2)
     outer_atol: float = 1e-7         # absolute l2 tolerance on the optimality residual
-    am_rtol: float = 1e-1            # relative target of the AM phase inside oram_newton
     max_am_iterations: int = 1000
-    max_newton_iterations: int = 30
-    max_outer_cycles: int = 20
-    coupled: str = field(default="fieldsplit", metadata=_LINEAR)   # Newton inactive block
-    fieldsplit_inner: str = field(default="direct", metadata=_LINEAR)  # LU; one value
-    fieldsplit_rtol: float = field(default=1e-6, metadata=_LINEAR)
+    # one value each (field-split MINRES, LU block inverses); kept for existing configs
+    coupled: str = field(default="fieldsplit", metadata=_LINEAR)
+    fieldsplit_inner: str = field(default="direct", metadata=_LINEAR)
 
     def __post_init__(self):
         for name, choices in CHOICES.items():
@@ -84,12 +88,11 @@ class SolverConfig:
                 raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if not 0.0 < self.omega < 2.0:
             raise ValueError(f"omega must lie strictly inside (0, 2), got {self.omega!r}")
-        for name in ("outer_atol", "am_rtol", "fieldsplit_rtol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
-        for name in ("max_am_iterations", "max_newton_iterations", "max_outer_cycles"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        if not 0.0 < self.outer_atol < math.inf:
+            raise ValueError(f"outer_atol must be positive and finite, got {self.outer_atol!r}")
+        if self.max_am_iterations < 1:
+            raise ValueError(
+                f"max_am_iterations must be at least 1, got {self.max_am_iterations!r}")
 
 
 @dataclass
@@ -104,7 +107,6 @@ class NonlinearReport:
     total_krylov_iterations: int = 0   # MINRES iterations of the coupled Newton solves
     omega_bar_min: float = 1.0
     energy_history: list = field(default_factory=list)      # EnergyBreakdown per iterate
-    residual_history: list = field(default_factory=list)    # optimality norm per iterate
     newton_residual_histories: list = field(default_factory=list)
 
 
@@ -197,9 +199,8 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
     phi0 = residual_norm(state, problem)
     target = config.outer_atol if rtol is None else max(rtol * phi0, config.outer_atol)
 
-    report = NonlinearReport(omega_bar_min=config.omega)
+    report = NonlinearReport(omega_bar_min=config.omega, final_residual_norm=phi0)
     report.energy_history.append(assemble_energy(state, problem))
-    report.residual_history.append(phi0)
 
     lagged = LaggedFactorization(ELASTIC_ATOL_FACTOR * config.outer_atol,
                                  LAGGED_CG_ITERATIONS)
@@ -233,7 +234,7 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
         res = residual_norm(state, problem)
         energy = assemble_energy(state, problem)
         report.energy_history.append(energy)
-        report.residual_history.append(res)
+        report.final_residual_norm = res
         if log is not None:
             log({
                 "phase": "am", "cycle": cycle, "iteration": report.am_iterations,
@@ -253,8 +254,6 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
         if res <= config.outer_atol or (res <= target and settled):
             report.converged = True
             break
-
-    report.final_residual_norm = report.residual_history[-1]
     return report
 
 
@@ -272,21 +271,15 @@ def _inactive_blocks(J: BlockJacobian, inactive: np.ndarray):
                           extract_submatrix(J.C, ia, ia)), iu, ia)
 
 
-def _make_coupled_linear_solver(config: SolverConfig):
-    """Inner solver for the inactive block of the stacked Newton system."""
-
-    def solve(J: BlockJacobian, inactive: np.ndarray, rhs: np.ndarray):
-        red, _, _ = _inactive_blocks(J, inactive)
-        if config.coupled == "direct":
-            return direct_factorize(red.to_csr(), spd=False).solve(rhs), None
-        precond = FieldSplitPreconditioner(red, inner_direct(red.A), inner_direct(red.C))
-        d, rep = minres_solve(red, rhs, precond=precond, rtol=config.fieldsplit_rtol)
-        if not rep.converged:
-            raise LinearSolverError(
-                f"field-split MINRES stalled at residual {rep.final_residual_norm:.3e}")
-        return d, rep
-
-    return solve
+def _coupled_linear_solve(J: BlockJacobian, inactive: np.ndarray, rhs: np.ndarray):
+    """Field-split MINRES on the inactive block of the stacked Newton system."""
+    red, _, _ = _inactive_blocks(J, inactive)
+    precond = FieldSplitPreconditioner(red, inner_direct(red.A), inner_direct(red.C))
+    d, rep = minres_solve(red, rhs, precond=precond, rtol=FIELDSPLIT_RTOL)
+    if not rep.converged:
+        raise LinearSolverError(
+            f"field-split MINRES stalled at residual {rep.final_residual_norm:.3e}")
+    return d, rep
 
 
 def coupled_mcp(state: State, problem: Discretization) -> MCProblem:
@@ -335,8 +328,8 @@ def coupled_newton_solve(state: State, problem: Discretization,
     mcp = coupled_mcp(state, problem)
     x0 = np.concatenate([state.u, state.alpha])
     x, rep = rsls_solve(mcp, x0, abs_tol=config.outer_atol,
-                        max_iterations=config.max_newton_iterations,
-                        linear_solver=_make_coupled_linear_solver(config))
+                        max_iterations=MAX_NEWTON_ITERATIONS,
+                        linear_solver=_coupled_linear_solve)
     out = state.copy()
     out.u = x[:problem.n_udofs]
     out.alpha = x[problem.n_udofs:]
@@ -354,7 +347,7 @@ def oram_n_solve(state: State, problem: Discretization,
     """Over-relaxed alternate minimization composed with coupled Newton.
 
     Each outer cycle measures the optimality norm, runs alternate
-    minimization until it falls by ``am_rtol`` with the damage field settled
+    minimization until it falls by ``AM_RTOL`` with the damage field settled
     (see :func:`am_solve`), and then attempts the Newton solve.  The Newton
     result is accepted only if it converged without raising the total energy
     above the hand-off value: near crack-advance bifurcations the semismooth
@@ -368,18 +361,17 @@ def oram_n_solve(state: State, problem: Discretization,
     report = NonlinearReport(omega_bar_min=config.omega)
     impose_dirichlet(state, problem)
 
-    for cycle in range(config.max_outer_cycles):
+    for cycle in range(MAX_OUTER_CYCLES):
         phi0 = residual_norm(state, problem)
         if phi0 <= config.outer_atol:
             report.converged = True
             break
 
-        am_rep = am_solve(state, problem, config, rtol=config.am_rtol, cycle=cycle, log=log)
+        am_rep = am_solve(state, problem, config, rtol=AM_RTOL, cycle=cycle, log=log)
         report.am_iterations += am_rep.am_iterations
         report.omega_bar_min = min(report.omega_bar_min, am_rep.omega_bar_min)
         start = 1 if report.energy_history else 0
         report.energy_history.extend(am_rep.energy_history[start:])
-        report.residual_history.extend(am_rep.residual_history[start:])
         if am_rep.final_residual_norm <= config.outer_atol:
             report.converged = True
             break
@@ -398,7 +390,6 @@ def oram_n_solve(state: State, problem: Discretization,
         if nrep.converged and e_newton.total <= e_handoff + slack:
             state.u, state.alpha = newt_state.u, newt_state.alpha
             report.energy_history.append(e_newton)
-            report.residual_history.append(nrep.final_residual_norm)
             report.converged = True
             break
 
@@ -432,7 +423,6 @@ def solve_load_step(state: State, problem: Discretization, config: SolverConfig,
             total_krylov_iterations=nrep.total_krylov_iterations,
             omega_bar_min=1.0,
             energy_history=[assemble_energy(state, problem)],
-            residual_history=list(nrep.residual_history),
             newton_residual_histories=[list(nrep.residual_history)])
     return am_solve(state, problem, config, log=log)
 

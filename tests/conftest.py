@@ -132,6 +132,11 @@ def diag_product_elimination(K: sp.csr_matrix, dofs: np.ndarray,
     return out
 
 
+def block_csr(J) -> sp.csr_matrix:
+    """The assembled matrix [[A, B], [B^T, C]] of a BlockJacobian."""
+    return sp.bmat([[J.A, J.B], [J.B.T, J.C]], format="csr")
+
+
 def random_spd(rng: np.random.Generator, n: int, shift: float = 1.0) -> np.ndarray:
     A = rng.standard_normal((n, n))
     return A @ A.T + shift * np.eye(n)

@@ -1,5 +1,7 @@
 """The package's public surface: an explicit ``__all__`` with no stale names."""
 
+import inspect
+
 import phasefrac
 import phasefrac.linalg
 import phasefrac.mesh
@@ -37,6 +39,8 @@ def test_retired_names_are_gone():
     assert not hasattr(phasefrac.linalg, "JacobiPreconditioner")
     for name in ("ChebyshevPreconditioner", "inner_chebyshev", "CHEBYSHEV_DEGREE"):
         assert not hasattr(phasefrac.linalg, name)
+    assert not hasattr(phasefrac.linalg.BlockJacobian, "to_csr")
+    assert "spd" not in inspect.signature(phasefrac.linalg.direct_factorize).parameters
     assert not hasattr(phasefrac.mesh, "BOUNDARY_TAGS")
     assert not hasattr(phasefrac.model, "internal_length")
     assert not hasattr(phasefrac.vi, "mcp_residual")

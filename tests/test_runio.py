@@ -12,6 +12,7 @@ from hypothesis import assume, given, strategies as st
 import phasefrac.linalg
 import phasefrac.runio
 from phasefrac import cli
+from phasefrac.cases import setup_surfing, setup_thermal_shock, setup_traction
 from phasefrac.linalg import SingularOperatorError
 from phasefrac.runio import (ConfigError, ENERGY_COLUMNS, ITERATION_COLUMNS,
                              SUMMARY_COLUMNS, RunConfig, build_setup,
@@ -50,6 +51,10 @@ omega = 1.6
 directory = {out}
 snapshot_stride = 0
 """
+
+
+SETUPS = {"traction": setup_traction, "surfing": setup_surfing,
+          "thermal_shock": setup_thermal_shock}
 
 
 def read_csv(path):
@@ -128,11 +133,32 @@ class TestParsing:
         with pytest.raises(ConfigError, match="fieldsplit_cg_budget"):
             parse_config("[linear]\nfieldsplit_cg_budget = 5\n")
 
+    @pytest.mark.parametrize("section,line", [
+        ("solver", "am_rtol = 0.5"), ("solver", "max_newton_iterations = 10"),
+        ("solver", "max_outer_cycles = 5"), ("linear", "fieldsplit_rtol = 1e-8")])
+    def test_retired_newton_keys_rejected(self, section, line):
+        # constants of phasefrac.solver (AM_RTOL, MAX_NEWTON_ITERATIONS, ...), not keys
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=rf"unknown keys in \[{section}\]: {key}"):
+            parse_config(f"[{section}]\n{line}\n")
+
+    @pytest.mark.parametrize("name", ["traction", "surfing", "thermal_shock"])
+    def test_case_defaults_match_setup_defaults(self, name):
+        # a config naming only the case builds the setup its Python API
+        # builds with every default
+        from_config = build_setup(parse_config(f"[case]\nname = {name}\n"))
+        from_api = SETUPS[name]()
+        assert from_config.mesh.n_vertices == from_api.mesh.n_vertices
+        assert np.array_equal(from_config.schedule, from_api.schedule)
+        assert from_config.params == from_api.params
+
     @pytest.mark.parametrize("line", ["elastic_precond = ssor", "fieldsplit_degree = 3",
-                                      "elastic = cg", "elastic_rtol = 1e-10"])
+                                      "elastic = cg", "elastic_rtol = 1e-10",
+                                      "coupled = direct"])
     def test_retired_linear_keys_rejected(self, line):
         # the elastic half-step is always a sparse LU solve; the inexact
-        # field-split inner solves are gone
+        # field-split inner solves are gone; field-split MINRES is the only
+        # coupled Newton solve
         with pytest.raises(ConfigError, match=line.split(" =")[0]):
             parse_config(f"[linear]\n{line}\n")
 
@@ -196,10 +222,7 @@ def run_configs(draw):
     solver = SolverConfig(
         **{key: draw(st.sampled_from(choices)) for key, choices in CHOICES.items()},
         omega=draw(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True)),
-        outer_atol=draw(positive), am_rtol=draw(positive),
-        fieldsplit_rtol=draw(positive),
-        max_am_iterations=draw(counts), max_newton_iterations=draw(counts),
-        max_outer_cycles=draw(counts))
+        outer_atol=draw(positive), max_am_iterations=draw(counts))
     return RunConfig(
         name=draw(st.sampled_from(CHOICE_KEYS["name"])),
         **{key: draw(positive) for key in ("ell", "h", "L", "H", "E", "Gc", "beta",

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from conftest import block_csr
 
 import phasefrac.linalg
 import phasefrac.solver
@@ -10,12 +12,11 @@ from phasefrac.cases import StepFailureError, run_quasistatic, setup_surfing, se
 from phasefrac.fem import (State, apply_dirichlet, assemble_energy, assemble_Kuu, assemble_load_u,
                            impose_dirichlet)
 from phasefrac.model import Material
-from phasefrac.linalg import BlockJacobian
-from phasefrac.solver import (SolverConfig, _make_coupled_linear_solver,
-                              am_solve, coupled_newton_solve,
-                              damage_step, elastic_step, first_order_residual,
-                              inactive_block_jacobian, oram_n_solve,
+from phasefrac.solver import (MAX_NEWTON_ITERATIONS, SolverConfig, am_solve, coupled_mcp,
+                              coupled_newton_solve, damage_step, elastic_step,
+                              first_order_residual, inactive_block_jacobian, oram_n_solve,
                               residual_norm, solve_load_step)
+from phasefrac.vi import rsls_solve
 
 MAT = Material(ell=0.1)
 
@@ -55,8 +56,9 @@ class TestConfigValidation:
         for inner in ("lu", "chebyshev"):
             with pytest.raises(ValueError, match="fieldsplit_inner"):
                 SolverConfig(fieldsplit_inner=inner)
-        with pytest.raises(ValueError):
-            SolverConfig(coupled="amg")
+        for coupled in ("amg", "direct"):
+            with pytest.raises(ValueError, match="coupled"):
+                SolverConfig(coupled=coupled)
 
 
 class TestElasticStep:
@@ -319,32 +321,23 @@ class TestCoupledNewton:
         assert residual_norm(out, traction.problem) <= 1e-6
 
     def test_direct_and_fieldsplit_agree(self, traction):
+        # reference: the same active-set Newton with a sparse direct solve of
+        # the assembled inactive block in place of field-split MINRES
+        def direct(J, inactive, rhs):
+            return spla.spsolve(block_csr(J)[inactive][:, inactive].tocsc(), rhs), None
+
         state = cracking_state(traction)
         am_solve(state, traction.problem, SolverConfig(), rtol=1e-2)
-        out_d, rep_d = coupled_newton_solve(state, traction.problem,
-                                            SolverConfig(coupled="direct"))
-        out_f, rep_f = coupled_newton_solve(state, traction.problem,
-                                            SolverConfig(coupled="fieldsplit"))
+        x_d, rep_d = rsls_solve(coupled_mcp(state, traction.problem),
+                                np.concatenate([state.u, state.alpha]),
+                                abs_tol=SolverConfig().outer_atol,
+                                max_iterations=MAX_NEWTON_ITERATIONS, linear_solver=direct)
+        out_f, rep_f = coupled_newton_solve(state, traction.problem, SolverConfig())
         assert rep_d.converged and rep_f.converged
         assert rep_f.total_krylov_iterations > 0
-        scale = 1.0 + np.max(np.abs(out_d.alpha))
-        assert np.allclose(out_f.alpha, out_d.alpha, atol=1e-5 * scale)
-
-    def test_direct_linear_solve_on_indefinite_kkt(self):
-        # the coupled system is symmetric indefinite; with a zero damage
-        # block the inactive submatrix has zero diagonal entries and needs
-        # pivoting off the diagonal
-        rng = np.random.default_rng(20)
-        n, m = 40, 8
-        main = 2.0 * np.ones(n)
-        A = sp.diags([-np.ones(n - 1), main, -np.ones(n - 1)], [-1, 0, 1]).tocsr()
-        B = sp.csr_matrix(rng.standard_normal((n, m)))
-        J = BlockJacobian(A, B, sp.csr_matrix((m, m)))
-        inactive = np.arange(n + m)
-        rhs = rng.standard_normal(n + m)
-        d, _ = _make_coupled_linear_solver(SolverConfig(coupled="direct"))(
-            J, inactive, rhs)
-        assert np.linalg.norm(J.to_csr() @ d - rhs) <= 1e-10 * np.linalg.norm(rhs)
+        alpha_d = x_d[traction.problem.n_udofs:]
+        scale = 1.0 + np.max(np.abs(alpha_d))
+        assert np.allclose(out_f.alpha, alpha_d, atol=1e-5 * scale)
 
     def test_merit_history_nonincreasing(self, traction):
         state = cracking_state(traction)
