@@ -11,6 +11,12 @@ constant P1 gradient, and eps0_e an optional inelastic (thermal) strain per
 element.  All residuals and Hessian blocks below are exact derivatives of this
 discrete functional, so finite-difference consistency holds to round-off.
 
+Each kernel is linear in one per-element coefficient, so each is one product
+with a constant sparse operator that ``Discretization`` builds on first use:
+the strains ``Bg @ u``, the centroid damage ``Mg @ alpha``, the gradient term
+``Lap`` and, per Hessian block, the map ``pattern(block).P`` from element
+coefficients to matrix data.
+
 Voigt convention: (e11, e22, gamma12) with engineering shear gamma12 = 2 e12.
 
 Dirichlet data is read only here: ``impose_dirichlet``, ``eliminate_dirichlet``
@@ -21,6 +27,7 @@ from matrices assembled on their block's fixed pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -129,8 +136,6 @@ class Discretization:
         self.B = B
 
         self.D = material.stiffness_matrix()
-        self.BtDB = np.einsum("eki,kl,elj->eij", B, self.D, B)
-        self.GtG = np.einsum("eki,ekj->eij", self.G, self.G)
 
         self.adofs = tri.astype(np.intp)  # (T, 3)
         ud = np.empty((T, 6), dtype=np.intp)
@@ -151,40 +156,44 @@ class Discretization:
         if block not in self._patterns:
             nu, na = self.n_udofs, self.n_vertices
             if block == "uu":
-                pat = BlockPattern(self.udofs, self.udofs, (nu, nu), nonzero=self.BtDB != 0)
+                BtDB = np.einsum("eki,kl,elj->eij", self.B, self.D, self.B)
+                pat = BlockPattern(self.udofs, self.udofs, (nu, nu), weights=BtDB)
             elif block == "ua":
                 pat = BlockPattern(self.udofs, self.adofs, (nu, na))
             elif block == "aa":
-                pat = BlockPattern(self.adofs, self.adofs, (na, na))
+                pat = BlockPattern(self.adofs, self.adofs, (na, na),
+                                   weights=np.full((self.adofs.shape[0], 3, 3), 1.0 / 9.0))
             else:
                 raise ValueError(f"unknown Hessian block {block!r}")
             self._patterns[block] = pat
         return self._patterns[block]
 
-    def dirichlet_elimination(self, block: str) -> "DirichletElimination":
-        """Elimination of the current ``bc.dofs`` from a block's pattern.
+    # -- constant element operators, built on first use --------------------
 
-        Kept until the dof set changes: boundary values move every load step,
-        the constrained dofs do not.  ``"uu"`` drops rows and columns and puts
-        1 on the constrained diagonal; ``"ua"`` drops rows only.
-        """
-        dofs = self.bc.dofs
-        cached = self._eliminations.get(block)
-        if cached is None or not np.array_equal(cached.dofs, dofs):
-            cached = DirichletElimination(self.pattern(block), dofs, columns=block == "uu")
-            self._eliminations[block] = cached
-        return cached
+    @cached_property
+    def Bg(self) -> sp.csr_matrix:
+        """Element strains ``(Bg @ u).reshape(-1, 3)``: B_e scattered to (3T x 2n)."""
+        T, cols = self.B.shape[0], np.repeat(self.udofs, 3, axis=0).astype(np.int32)
+        Bg = sp.csr_matrix((self.B.flatten(), cols.ravel(),
+                            np.arange(0, 18 * T + 1, 6, dtype=np.int32)), shape=(3 * T, self.n_udofs))
+        Bg.eliminate_zeros()
+        return Bg
 
-    # -- per-element ingredients ------------------------------------------
+    @cached_property
+    def Mg(self) -> sp.csr_matrix:
+        """Centroid damage ``ab = Mg @ alpha``: (T x n), entries 1/3."""
+        T, cols = self.adofs.shape[0], self.adofs.astype(np.int32)
+        return sp.csr_matrix((np.full(3 * T, 1.0 / 3.0), cols.ravel(),
+                              np.arange(0, 3 * T + 1, 3, dtype=np.int32)),
+                             shape=(T, self.n_vertices))
 
-    def _alpha_bar(self, alpha: np.ndarray) -> np.ndarray:
-        return alpha[self.adofs].mean(axis=1)
-
-    def _eps_eff(self, u: np.ndarray) -> np.ndarray:
-        return np.einsum("eij,ej->ei", self.B, u[self.udofs]) - self.eps0
-
-    def _scatter(self, dofs: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-        return np.bincount(dofs.ravel(), weights=values.ravel(), minlength=n)
+    @cached_property
+    def Lap(self) -> sp.csr_matrix:
+        """2 (Gc/c_w) ell sum_e A_e G_e^T G_e on the ``"aa"`` pattern: the gradient term."""
+        pat, m = self.pattern("aa"), self.material
+        Ke = (2.0 * (m.Gc / C_W) * m.ell * self.area)[:, None, None] * np.einsum(
+            "eki,ekj->eij", self.G, self.G)
+        return pat.matrix(np.bincount(pat.slots, weights=Ke.ravel(), minlength=pat.nnz))
 
 
 # -- energy and residuals ---------------------------------------------------
@@ -193,28 +202,23 @@ class Discretization:
 def assemble_energy(state: State, problem: Discretization) -> EnergyBreakdown:
     """Elastic / dissipated / total energy of the state."""
     m = problem.material
-    ab = problem._alpha_bar(state.alpha)
+    ab = problem.Mg @ state.alpha
     a, _, _ = degradation(ab, m.k_ell)
     w, _, _ = dissipation(ab)
-    eps = problem._eps_eff(state.u)
-    q = np.einsum("ei,ij,ej->e", eps, problem.D, eps)
-    elastic = 0.5 * float(np.dot(problem.area, a * q))
-    grad = np.einsum("eij,ej->ei", problem.G, state.alpha[problem.adofs])
-    dens = w / m.ell + m.ell * np.einsum("ei,ei->e", grad, grad)
-    dissipated = (m.Gc / C_W) * float(np.dot(problem.area, dens))
+    eps = (problem.Bg @ state.u).reshape(-1, 3) - problem.eps0
+    q = np.einsum("ei,ei->e", eps @ problem.D, eps)
+    elastic = 0.5 * float(np.dot(problem.area * a, q))
+    dissipated = ((m.Gc / C_W) / m.ell * float(np.dot(problem.area, w))
+                  + 0.5 * float(state.alpha @ (problem.Lap @ state.alpha)))
     return EnergyBreakdown(elastic, dissipated, elastic + dissipated)
 
 
 def assemble_residual_u(state: State, problem: Discretization,
                         apply_bc: bool = True) -> np.ndarray:
     """Gradient of the energy in u; Dirichlet rows replaced by (u - ubar)."""
-    m = problem.material
-    ab = problem._alpha_bar(state.alpha)
-    a, _, _ = degradation(ab, m.k_ell)
-    eps = problem._eps_eff(state.u)
-    sig = np.einsum("ij,ej->ei", problem.D, eps)
-    re = (a * problem.area)[:, None] * np.einsum("eik,ei->ek", problem.B, sig)
-    r = problem._scatter(problem.udofs, re, problem.n_udofs)
+    a, _, _ = degradation(problem.Mg @ state.alpha, problem.material.k_ell)
+    sig = ((problem.Bg @ state.u).reshape(-1, 3) - problem.eps0) @ problem.D
+    r = problem.Bg.T @ ((a * problem.area)[:, None] * sig).ravel()
     if apply_bc and problem.bc is not None:
         r[problem.bc.dofs] = state.u[problem.bc.dofs] - problem.bc.values
     return r
@@ -222,31 +226,21 @@ def assemble_residual_u(state: State, problem: Discretization,
 
 def assemble_load_u(state: State, problem: Discretization) -> np.ndarray:
     """Inelastic-strain load vector f with residual_u(u) = Kuu u - f (no BC)."""
-    m = problem.material
-    ab = problem._alpha_bar(state.alpha)
-    a, _, _ = degradation(ab, m.k_ell)
-    sig0 = np.einsum("ij,ej->ei", problem.D, problem.eps0)
-    fe = (a * problem.area)[:, None] * np.einsum("eik,ei->ek", problem.B, sig0)
-    return problem._scatter(problem.udofs, fe, problem.n_udofs)
+    a, _, _ = degradation(problem.Mg @ state.alpha, problem.material.k_ell)
+    sig0 = problem.eps0 @ problem.D
+    return problem.Bg.T @ ((a * problem.area)[:, None] * sig0).ravel()
 
 
 def assemble_residual_alpha(state: State, problem: Discretization) -> np.ndarray:
     """Gradient of the energy in alpha (no Dirichlet data on damage)."""
     m = problem.material
-    ab = problem._alpha_bar(state.alpha)
+    ab = problem.Mg @ state.alpha
     _, ap, _ = degradation(ab, m.k_ell)
     _, wp, _ = dissipation(ab)
-    eps = problem._eps_eff(state.u)
-    q = np.einsum("ei,ij,ej->e", eps, problem.D, eps)
-    # d(ab)/d(alpha_m) = 1/3 for each of the three nodes
-    nodal = (0.5 * ap * q + (m.Gc / C_W) * wp / m.ell) * problem.area / 3.0
-    r = problem._scatter(problem.adofs, np.repeat(nodal[:, None], 3, axis=1),
-                         problem.n_vertices)
-    grad = np.einsum("eij,ej->ei", problem.G, state.alpha[problem.adofs])
-    ge = 2.0 * (m.Gc / C_W) * m.ell * problem.area[:, None] * np.einsum(
-        "eij,ei->ej", problem.G, grad)
-    r += problem._scatter(problem.adofs, ge, problem.n_vertices)
-    return r
+    eps = (problem.Bg @ state.u).reshape(-1, 3) - problem.eps0
+    q = np.einsum("ei,ei->e", eps @ problem.D, eps)
+    nodal = (0.5 * ap * q + (m.Gc / C_W) * wp / m.ell) * problem.area
+    return problem.Mg.T @ nodal + problem.Lap @ state.alpha
 
 
 # -- Hessian blocks ----------------------------------------------------------
@@ -256,20 +250,22 @@ class BlockPattern:
     """Fixed CSR sparsity of one Hessian block and the slot of each element entry.
 
     Entry (i, j) of element e adds into ``data[slots[e, i, j]]`` (flattened).
-    Element entries flagged False in ``nonzero`` point one past the end and
-    are dropped, so a position is in the pattern only if some element adds a
-    nonzero there: no structural zeros.  Assembly is then a single bincount.
+    With per-element ``weights`` (T, k, m), entries of weight zero point one
+    past the end and are dropped, so a position is in the pattern only if some
+    element adds a nonzero there (no structural zeros), and ``P`` is the
+    constant (nnz x T) map ``data = P @ c`` for which element e adds
+    ``weights[e, i, j] * c[e]`` into its slot (i, j).
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple,
-                 nonzero: Optional[np.ndarray] = None):
+                 weights: Optional[np.ndarray] = None):
         k, m = rows.shape[1], cols.shape[1]
         key = (np.repeat(rows, m, axis=1).astype(np.int64) * shape[1]
                + np.tile(cols, (1, k))).ravel()
-        if nonzero is not None:
-            key[~nonzero.ravel()] = shape[0] * shape[1]   # sorts after every real slot
+        if weights is not None:
+            key[weights.ravel() == 0] = shape[0] * shape[1]   # sorts after every real slot
         uniq, inv = np.unique(key, return_inverse=True)
-        if nonzero is not None and uniq.size and uniq[-1] == shape[0] * shape[1]:
+        if weights is not None and uniq.size and uniq[-1] == shape[0] * shape[1]:
             uniq = uniq[:-1]
         self.shape = shape
         self.nnz = uniq.size
@@ -277,11 +273,14 @@ class BlockPattern:
         self.indices = (uniq % shape[1]).astype(np.int32)
         self.indptr = np.searchsorted(uniq // shape[1],
                                       np.arange(shape[0] + 1)).astype(np.int32)
+        if weights is not None:
+            keep = self.slots < self.nnz
+            elements = np.repeat(np.arange(rows.shape[0], dtype=np.int32), k * m)
+            self.P = sp.csr_matrix((weights.ravel()[keep], (self.slots[keep], elements[keep])),
+                                   shape=(self.nnz, rows.shape[0]))
 
-    def matrix(self, element_data: np.ndarray) -> sp.csr_matrix:
-        """Sum per-element matrices (shape ``(T, k, m)``) into the pattern."""
-        data = np.bincount(self.slots, weights=element_data.ravel(),
-                           minlength=self.nnz + 1)[: self.nnz]
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The block with ``data`` (one value per slot) on this pattern."""
         return _csr(data, self.indices, self.indptr, self.shape)
 
 
@@ -294,10 +293,9 @@ def _csr(data, indices, indptr, shape) -> sp.csr_matrix:
 
 def assemble_Kuu(state: State, problem: Discretization, apply_bc: bool = True) -> sp.csr_matrix:
     """Damage-degraded elasticity matrix; Dirichlet rows/cols eliminated."""
-    m = problem.material
-    ab = problem._alpha_bar(state.alpha)
-    a, _, _ = degradation(ab, m.k_ell)
-    K = problem.pattern("uu").matrix((a * problem.area)[:, None, None] * problem.BtDB)
+    a, _, _ = degradation(problem.Mg @ state.alpha, problem.material.k_ell)
+    pat = problem.pattern("uu")
+    K = pat.matrix(pat.P @ (a * problem.area))
     if apply_bc and problem.bc is not None:
         K = eliminate_dirichlet(K, problem)
     return K
@@ -305,14 +303,11 @@ def assemble_Kuu(state: State, problem: Discretization, apply_bc: bool = True) -
 
 def assemble_Kua(state: State, problem: Discretization, apply_bc: bool = True) -> sp.csr_matrix:
     """Mixed block d(residual_u)/d(alpha); Dirichlet rows dropped."""
-    m = problem.material
-    ab = problem._alpha_bar(state.alpha)
-    _, ap, _ = degradation(ab, m.k_ell)
-    eps = problem._eps_eff(state.u)
-    sig = np.einsum("ij,ej->ei", problem.D, eps)
+    _, ap, _ = degradation(problem.Mg @ state.alpha, problem.material.k_ell)
+    sig = ((problem.Bg @ state.u).reshape(-1, 3) - problem.eps0) @ problem.D
     v = (ap * problem.area / 3.0)[:, None] * np.einsum("eik,ei->ek", problem.B, sig)
-    data = np.repeat(v[:, :, None], 3, axis=2)  # identical columns per node
-    K = problem.pattern("ua").matrix(data)
+    pat, data = problem.pattern("ua"), np.repeat(v, 3)  # identical columns per node
+    K = pat.matrix(np.bincount(pat.slots, weights=data, minlength=pat.nnz))
     if apply_bc and problem.bc is not None:
         K = eliminate_dirichlet(K, problem, "ua")
     return K
@@ -320,14 +315,11 @@ def assemble_Kua(state: State, problem: Discretization, apply_bc: bool = True) -
 
 def assemble_Kaa(state: State, problem: Discretization) -> sp.csr_matrix:
     """Damage block: strain-energy reaction + (Gc/c_w) ell Laplacian (w'' = 0)."""
-    m = problem.material
-    ab = problem._alpha_bar(state.alpha)
-    _, _, app = degradation(ab, m.k_ell)
-    eps = problem._eps_eff(state.u)
-    q = np.einsum("ei,ij,ej->e", eps, problem.D, eps)
-    react = (0.5 * app * q * problem.area / 9.0)[:, None, None]
-    diff = (2.0 * (m.Gc / C_W) * m.ell * problem.area)[:, None, None] * problem.GtG
-    return problem.pattern("aa").matrix(react + diff)
+    _, _, app = degradation(problem.Mg @ state.alpha, problem.material.k_ell)
+    eps = (problem.Bg @ state.u).reshape(-1, 3) - problem.eps0
+    q = np.einsum("ei,ei->e", eps @ problem.D, eps)
+    pat = problem.pattern("aa")
+    return pat.matrix(pat.P @ (0.5 * app * q * problem.area) + problem.Lap.data)
 
 
 # -- Dirichlet elimination ----------------------------------------------------
@@ -378,11 +370,17 @@ def eliminate_dirichlet(K: sp.csr_matrix, problem: Discretization,
     ``"uu"`` zeroes the constrained rows and columns and puts 1 on their
     diagonal; ``"ua"`` zeroes the constrained rows.  A matrix whose entry
     count differs from the pattern's was not assembled on it and is rejected.
+    The elimination is kept until the dof set changes: boundary values move
+    every load step, the constrained dofs do not.
     """
     nnz = problem.pattern(block).nnz
     if K.nnz != nnz:
         raise ValueError(f"matrix has {K.nnz} entries, the {block!r} pattern {nnz}")
-    return problem.dirichlet_elimination(block).matrix(K.data)
+    elim, dofs = problem._eliminations.get(block), problem.bc.dofs
+    if elim is None or not np.array_equal(elim.dofs, dofs):
+        elim = DirichletElimination(problem.pattern(block), dofs, columns=block == "uu")
+        problem._eliminations[block] = elim
+    return elim.matrix(K.data)
 
 
 def apply_dirichlet(K: sp.csr_matrix, rhs: np.ndarray, problem: Discretization):

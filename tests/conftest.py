@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from phasefrac.fem import Discretization, State
+from phasefrac.fem import Discretization, EnergyBreakdown, State
 from phasefrac.mesh import rect_mesh
-from phasefrac.model import C_W, Material, degradation
+from phasefrac.model import C_W, Material, degradation, dissipation
 
 
 def fd_gradient(f, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
@@ -112,6 +112,32 @@ def coo_hessian_blocks(state: State, problem: Discretization):
     shapes = {"uu": (nu, nu), "ua": (nu, na), "aa": (na, na)}
     return tuple(sp.coo_matrix((v, (r, c)), shape=shapes[b]).tocsr()
                  for b, (r, c, v) in trip.items())
+
+
+def element_loop_vectors(state: State, problem: Discretization):
+    """(residual_u without boundary conditions, residual_alpha, load_u, energy
+    breakdown), accumulated one element at a time."""
+    m = problem.material
+    gc = m.Gc / C_W
+    ru, f = np.zeros(problem.n_udofs), np.zeros(problem.n_udofs)
+    ra = np.zeros(problem.n_vertices)
+    elastic = dissipated = 0.0
+    for e in range(problem.mesh.n_triangles):
+        ud, ad = problem.udofs[e], problem.adofs[e]
+        ab = np.array([state.alpha[ad].mean()])
+        a, ap, _ = (float(v[0]) for v in degradation(ab, m.k_ell))
+        w, wp, _ = (float(v[0]) for v in dissipation(ab))
+        area, Be, Ge = problem.area[e], problem.B[e], problem.G[e]
+        eps = Be @ state.u[ud] - problem.eps0[e]
+        sig = problem.D @ eps
+        grad = Ge @ state.alpha[ad]
+        ru[ud] += a * area * Be.T @ sig
+        f[ud] += a * area * Be.T @ problem.D @ problem.eps0[e]
+        ra[ad] += ((0.5 * ap * float(eps @ sig) + gc * wp / m.ell) * area / 3.0
+                   + 2.0 * gc * m.ell * area * Ge.T @ grad)
+        elastic += 0.5 * a * float(eps @ sig) * area
+        dissipated += gc * (w / m.ell + m.ell * float(grad @ grad)) * area
+    return ru, ra, f, EnergyBreakdown(elastic, dissipated, elastic + dissipated)
 
 
 def diag_product_elimination(K: sp.csr_matrix, dofs: np.ndarray,

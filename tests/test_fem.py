@@ -6,11 +6,14 @@ the match is limited only by FD truncation); closed-form energies are checked
 on states where the quadrature is exact.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from conftest import (coo_hessian_blocks, diag_product_elimination, fd_gradient,
-                      fd_jacobian, random_feasible_state)
+from conftest import (coo_hessian_blocks, diag_product_elimination, element_loop_vectors,
+                      fd_gradient, fd_jacobian, random_feasible_state)
 
 import phasefrac.fem as fem
 
@@ -436,6 +439,54 @@ class TestFixedPattern:
         K1.indptr[:] = 0
         K2 = assemble_Kaa(state, problem)
         self._close(K2, coo_hessian_blocks(state, problem)[2])
+
+
+class TestElementOperators:
+    """Residuals and energies by constant sparse operators, against a loop
+    over elements, and the lifetime of the operators' cache."""
+
+    OPERATORS = {"Bg", "Mg", "Lap"}
+
+    def test_vector_kernels_match_element_loop(self, small_material):
+        problem = Discretization(rect_mesh(1.0, 0.5, 0.125), small_material)
+        rng = np.random.default_rng(41)
+        problem.eps0 = rng.standard_normal((problem.mesh.n_triangles, 3)) * 0.02
+        state = random_feasible_state(problem, rng)
+        ru, ra, f, energy = element_loop_vectors(state, problem)
+        for got, want in ((assemble_residual_u(state, problem, apply_bc=False), ru),
+                          (assemble_residual_alpha(state, problem), ra),
+                          (assemble_load_u(state, problem), f)):
+            assert abs(got - want).max() <= 1e-12 * abs(want).max()
+        got = assemble_energy(state, problem)
+        for g, w in zip(got, energy):
+            assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+
+    def test_operators_built_on_first_use_and_freed_without_gc(self, small_material):
+        problem = Discretization(rect_mesh(1.0, 0.5, 0.25), small_material)
+        assert not self.OPERATORS & set(vars(problem))
+        assert problem._patterns == {}
+        problem.bc = DirichletBC(np.array([0, 1, 3]), np.array([0.0, 0.1, 0.2]))
+        state = random_feasible_state(problem, np.random.default_rng(42))
+        assemble_energy(state, problem)
+        assemble_residual_u(state, problem)
+        assemble_residual_alpha(state, problem)
+        assemble_load_u(state, problem)
+        assemble_Kua(state, problem)
+        assemble_Kaa(state, problem)
+        apply_dirichlet(assemble_Kuu(state, problem, apply_bc=False),
+                        np.ones(problem.n_udofs), problem)
+        impose_dirichlet(state, problem)
+        assert self.OPERATORS <= set(vars(problem))
+        assert set(problem._patterns) == {"uu", "ua", "aa"}
+        ref = weakref.ref(problem)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del problem
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestState:

@@ -169,7 +169,7 @@ class TestParsing:
     @pytest.mark.parametrize("key,section", [
         ("E", "case"), ("ell", "case"), ("k_ell", "case"), ("h", "case"),
         ("nu", "case"), ("tau_max", "case"), ("omega", "solver"),
-        ("outer_atol", "solver"), ("fieldsplit_rtol", "linear")])
+        ("outer_atol", "solver"), ("dT_factor", "case")])
     def test_nan_rejected(self, key, section):
         with pytest.raises(ConfigError, match=key):
             parse_config(f"[{section}]\n{key} = nan\n")
