@@ -214,13 +214,10 @@ def setup_thermal_shock(material: Optional[Material] = None, L: float = 20.0,
     dTc = critical_shock(material)
     dT = dT_factor * dTc
 
-    bc = combine_bcs(
-        DirichletBC(boundary_dofs(mesh, "left", "displacement_x1"),
-                    np.zeros(boundary_dofs(mesh, "left", "displacement_x1").size)),
-        DirichletBC(boundary_dofs(mesh, "right", "displacement_x1"),
-                    np.zeros(boundary_dofs(mesh, "right", "displacement_x1").size)),
-        DirichletBC(boundary_dofs(mesh, "top", "displacement_x2"),
-                    np.zeros(boundary_dofs(mesh, "top", "displacement_x2").size)))
+    bc = combine_bcs(*(DirichletBC(dofs, np.zeros(dofs.size)) for dofs in (
+        boundary_dofs(mesh, "left", "displacement_x1"),
+        boundary_dofs(mesh, "right", "displacement_x1"),
+        boundary_dofs(mesh, "top", "displacement_x2"))))
     depth = problem.centroids[:, 1]
 
     def apply_load(problem: Discretization, state: State, tau: float) -> None:

@@ -156,7 +156,7 @@ class Discretization:
         if block not in self._patterns:
             nu, na = self.n_udofs, self.n_vertices
             if block == "uu":
-                BtDB = np.einsum("eki,kl,elj->eij", self.B, self.D, self.B)
+                BtDB = self.B.transpose(0, 2, 1) @ self.D @ self.B
                 pat = BlockPattern(self.udofs, self.udofs, (nu, nu), weights=BtDB)
             elif block == "ua":
                 pat = BlockPattern(self.udofs, self.adofs, (nu, na))
@@ -188,6 +188,16 @@ class Discretization:
                              shape=(T, self.n_vertices))
 
     @cached_property
+    def BgT(self) -> sp.csr_matrix:
+        """``Bg.T`` as CSR: ``Bg.T`` itself is a new matrix on every use."""
+        return self.Bg.T.tocsr()
+
+    @cached_property
+    def MgT(self) -> sp.csr_matrix:
+        """``Mg.T`` as CSR."""
+        return self.Mg.T.tocsr()
+
+    @cached_property
     def Lap(self) -> sp.csr_matrix:
         """2 (Gc/c_w) ell sum_e A_e G_e^T G_e on the ``"aa"`` pattern: the gradient term."""
         pat, m = self.pattern("aa"), self.material
@@ -199,14 +209,21 @@ class Discretization:
 # -- energy and residuals ---------------------------------------------------
 
 
-def assemble_energy(state: State, problem: Discretization) -> EnergyBreakdown:
+def element_strains(state: State, problem: Discretization):
+    """(sig, q): element stresses ``eps D`` and energy densities ``sig . eps``, with
+    ``eps = B u - eps0``; the kernels below accept them for ``state.u`` as ``strains``."""
+    eps = (problem.Bg @ state.u).reshape(-1, 3) - problem.eps0
+    sig = eps @ problem.D
+    return sig, np.einsum("ei,ei->e", sig, eps)
+
+
+def assemble_energy(state: State, problem: Discretization, strains=None) -> EnergyBreakdown:
     """Elastic / dissipated / total energy of the state."""
     m = problem.material
     ab = problem.Mg @ state.alpha
     a, _, _ = degradation(ab, m.k_ell)
     w, _, _ = dissipation(ab)
-    eps = (problem.Bg @ state.u).reshape(-1, 3) - problem.eps0
-    q = np.einsum("ei,ei->e", eps @ problem.D, eps)
+    _, q = element_strains(state, problem) if strains is None else strains
     elastic = 0.5 * float(np.dot(problem.area * a, q))
     dissipated = ((m.Gc / C_W) / m.ell * float(np.dot(problem.area, w))
                   + 0.5 * float(state.alpha @ (problem.Lap @ state.alpha)))
@@ -214,11 +231,11 @@ def assemble_energy(state: State, problem: Discretization) -> EnergyBreakdown:
 
 
 def assemble_residual_u(state: State, problem: Discretization,
-                        apply_bc: bool = True) -> np.ndarray:
+                        apply_bc: bool = True, strains=None) -> np.ndarray:
     """Gradient of the energy in u; Dirichlet rows replaced by (u - ubar)."""
     a, _, _ = degradation(problem.Mg @ state.alpha, problem.material.k_ell)
-    sig = ((problem.Bg @ state.u).reshape(-1, 3) - problem.eps0) @ problem.D
-    r = problem.Bg.T @ ((a * problem.area)[:, None] * sig).ravel()
+    sig, _ = element_strains(state, problem) if strains is None else strains
+    r = problem.BgT @ ((a * problem.area)[:, None] * sig).ravel()
     if apply_bc and problem.bc is not None:
         r[problem.bc.dofs] = state.u[problem.bc.dofs] - problem.bc.values
     return r
@@ -228,19 +245,18 @@ def assemble_load_u(state: State, problem: Discretization) -> np.ndarray:
     """Inelastic-strain load vector f with residual_u(u) = Kuu u - f (no BC)."""
     a, _, _ = degradation(problem.Mg @ state.alpha, problem.material.k_ell)
     sig0 = problem.eps0 @ problem.D
-    return problem.Bg.T @ ((a * problem.area)[:, None] * sig0).ravel()
+    return problem.BgT @ ((a * problem.area)[:, None] * sig0).ravel()
 
 
-def assemble_residual_alpha(state: State, problem: Discretization) -> np.ndarray:
+def assemble_residual_alpha(state: State, problem: Discretization, strains=None) -> np.ndarray:
     """Gradient of the energy in alpha (no Dirichlet data on damage)."""
     m = problem.material
     ab = problem.Mg @ state.alpha
     _, ap, _ = degradation(ab, m.k_ell)
     _, wp, _ = dissipation(ab)
-    eps = (problem.Bg @ state.u).reshape(-1, 3) - problem.eps0
-    q = np.einsum("ei,ei->e", eps @ problem.D, eps)
+    _, q = element_strains(state, problem) if strains is None else strains
     nodal = (0.5 * ap * q + (m.Gc / C_W) * wp / m.ell) * problem.area
-    return problem.Mg.T @ nodal + problem.Lap @ state.alpha
+    return problem.MgT @ nodal + problem.Lap @ state.alpha
 
 
 # -- Hessian blocks ----------------------------------------------------------
@@ -304,7 +320,7 @@ def assemble_Kuu(state: State, problem: Discretization, apply_bc: bool = True) -
 def assemble_Kua(state: State, problem: Discretization, apply_bc: bool = True) -> sp.csr_matrix:
     """Mixed block d(residual_u)/d(alpha); Dirichlet rows dropped."""
     _, ap, _ = degradation(problem.Mg @ state.alpha, problem.material.k_ell)
-    sig = ((problem.Bg @ state.u).reshape(-1, 3) - problem.eps0) @ problem.D
+    sig, _ = element_strains(state, problem)
     v = (ap * problem.area / 3.0)[:, None] * np.einsum("eik,ei->ek", problem.B, sig)
     pat, data = problem.pattern("ua"), np.repeat(v, 3)  # identical columns per node
     K = pat.matrix(np.bincount(pat.slots, weights=data, minlength=pat.nnz))
@@ -313,11 +329,10 @@ def assemble_Kua(state: State, problem: Discretization, apply_bc: bool = True) -
     return K
 
 
-def assemble_Kaa(state: State, problem: Discretization) -> sp.csr_matrix:
+def assemble_Kaa(state: State, problem: Discretization, strains=None) -> sp.csr_matrix:
     """Damage block: strain-energy reaction + (Gc/c_w) ell Laplacian (w'' = 0)."""
     _, _, app = degradation(problem.Mg @ state.alpha, problem.material.k_ell)
-    eps = (problem.Bg @ state.u).reshape(-1, 3) - problem.eps0
-    q = np.einsum("ei,ei->e", eps @ problem.D, eps)
+    _, q = element_strains(state, problem) if strains is None else strains
     pat = problem.pattern("aa")
     return pat.matrix(pat.P @ (0.5 * app * q * problem.area) + problem.Lap.data)
 

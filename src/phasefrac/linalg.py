@@ -4,10 +4,11 @@ preconditioner.
 Matrices are scipy CSR (compressed-row storage with sorted, duplicate-free
 indices).  MINRES is written out longhand because its iteration counts and
 residual norms are reported quantities; direct factorization delegates to
-SuperLU.  A sequence of nearby SPD systems can reuse one LU as the
-preconditioner of a short CG solve, refactoring only when CG misses its
-iteration budget.  The field-split block preconditioner inverts its diagonal
-blocks with one LU each (``inner_direct``).
+SuperLU, given a CSR matrix as the CSC view of its transpose (``Kuu`` is
+symmetric up to rounding).  A sequence of nearby SPD systems can reuse one LU
+as the preconditioner of a short CG solve, refactoring only when CG misses its
+iteration budget or the caller's key changes.  The field-split block
+preconditioner inverts its diagonal blocks with one LU each (``inner_direct``).
 
 Operators need ``shape`` and ``A @ x``; preconditioners need ``matvec(r)``,
 which applies a fixed SPD approximation of the inverse.
@@ -163,11 +164,9 @@ def direct_factorize(A) -> DirectFactorization:
 
     SuperLU runs in symmetric mode (minimum degree on A^T + A, pivots taken
     on the diagonal), which keeps the symmetric structure and roughly halves
-    the fill of partial pivoting.
+    the fill of partial pivoting.  A CSR matrix is factored as its transpose, unconverted.
     """
-    A_csc = sp.csc_matrix(A)
-    if A_csc.shape[0] != A_csc.shape[1]:
-        raise ValueError(f"direct_factorize needs a square matrix, got {A_csc.shape}")
+    A_csc = A.T if sp.issparse(A) and A.format == "csr" else sp.csc_matrix(A)
     if not np.all(np.isfinite(A_csc.data)):
         raise SingularOperatorError("non-finite entry in the matrix to factorize")
     try:
@@ -215,8 +214,9 @@ class LaggedFactorization:
     ``solve`` runs CG preconditioned by the held factorization, started from
     the caller's guess.  If CG has not reached ``atol`` (absolute, on the
     unpreconditioned residual) within ``max_iterations``, or nothing is held
-    yet, the held factorization is released, the current matrix is factored
-    and kept, and its exact solve is returned.  At most one factorization is
+    yet, or it was made under another ``key`` (by ``np.array_equal``), the
+    held factorization is released, the current matrix is factored and kept,
+    and its exact solve is returned.  At most one factorization is
     alive at a time.  ``factorizations`` and ``cg_iterations`` count the work
     done over the holder's life.
     """
@@ -225,17 +225,18 @@ class LaggedFactorization:
         self.atol = atol
         self.max_iterations = max_iterations
         self.factor: Optional[DirectFactorization] = None
+        self.key = None
         self.factorizations = 0
         self.cg_iterations = 0
 
-    def solve(self, A, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        if self.factor is not None:
+    def solve(self, A, b: np.ndarray, x0: np.ndarray, key=None) -> np.ndarray:
+        if self.factor is not None and np.array_equal(key, self.key):
             x, rep = _pcg(A, b, x0, self.factor.solve, self.atol, self.max_iterations)
             self.cg_iterations += rep.iterations
             if rep.converged:
                 return x
         self.factor = None   # freed before the next is built, to bound peak memory
-        self.factor = direct_factorize(A)
+        self.factor, self.key = direct_factorize(A), key
         self.factorizations += 1
         return self.factor.solve(b)
 
@@ -244,8 +245,13 @@ class LaggedFactorization:
 
 
 def extract_submatrix(A: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
-    """CSR submatrix A[rows, cols] for sorted, duplicate-free index sets."""
-    sub = A[rows][:, cols].tocsr()
+    """CSR submatrix A[rows, cols] for sorted, duplicate-free index sets, by one entry mask."""
+    row_of, col_of = (np.full(n, -1, dtype=A.indices.dtype) for n in A.shape)
+    row_of[rows], col_of[cols] = np.arange(rows.size), np.arange(cols.size)
+    r, c = np.repeat(row_of, np.diff(A.indptr)), col_of.take(A.indices)
+    keep = np.flatnonzero((r >= 0) & (c >= 0))
+    indptr = np.searchsorted(r.take(keep), np.arange(rows.size + 1))
+    sub = sp.csr_matrix((A.data.take(keep), c.take(keep), indptr), shape=(rows.size, cols.size))
     sub.sort_indices()
     return sub
 

@@ -456,11 +456,9 @@ def sweep(spec: SweepSpec, threads: int = 1,
     if ref is None:
         ref = rows[0]
     ref_am = ref["total_am_iters"]
-    for row in rows:
+    for row in rows:   # every row starts with reduction 0.0
         if ref["status"] == "ok" and row["status"] == "ok" and ref_am > 0:
             row["reduction"] = 1.0 - row["total_am_iters"] / ref_am
-        else:
-            row["reduction"] = 0.0
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

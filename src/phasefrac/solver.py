@@ -6,10 +6,11 @@ residual composed through the Fischer-Burmeister function against the bounds
 ``alpha_lb <= alpha <= 1``).  Boundary data is read and imposed only through
 ``fem``:
 
-* ``am_solve`` -- alternate minimization: linear solve in u at fixed alpha
-  (CG on the last elastic LU of the call, refactored when CG misses its
-  budget), then a bound-constrained damage solve at fixed u, with optional
-  over-relaxation ``omega`` of both half-step increments.  Over-relaxed
+* ``am_solve`` -- alternate minimization: linear solve in u at fixed alpha,
+  then a bound-constrained damage solve at fixed u, with optional
+  over-relaxation ``omega`` of both half-step increments.  Both blocks are
+  solved by CG on the last LU of the call (the damage LU only for the same
+  inactive set), refactored when CG misses its budget.  Over-relaxed
   damage updates that leave the box are backtracked toward the unrelaxed
   update (midpoint rule) until feasible.  With ``omega = 1`` the total energy
   is nonincreasing across iterations.
@@ -26,18 +27,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .fem import (Discretization, State, apply_dirichlet, assemble_energy,
                   assemble_Kaa, assemble_Kua, assemble_Kuu, assemble_load_u,
-                  assemble_residual_alpha, assemble_residual_u,
+                  assemble_residual_alpha, assemble_residual_u, element_strains,
                   impose_dirichlet)
 from .linalg import (BlockJacobian, FieldSplitPreconditioner, LaggedFactorization,
                      LinearSolverError, direct_factorize, extract_submatrix,
                      inner_direct, minres_solve)
-from .vi import MCProblem, active_set_slack, classify_active, fb_composite, rsls_solve
+from .vi import (MCProblem, active_set_slack, classify_active, fb_composite,
+                 reduced_direct_solver, rsls_solve)
 
 #: the choice-valued fields of SolverConfig and their admissible values
 CHOICES = {"method": ("am", "oram_newton", "newton_only"),
@@ -51,10 +54,10 @@ MAX_OUTER_CYCLES = 20
 FIELDSPLIT_RTOL = 1e-6
 #: damage subproblem tolerance, as a fraction of ``outer_atol``
 DAMAGE_ATOL_FACTOR = 0.1
-#: elastic CG tolerance inside alternate minimization, as a fraction of
-#: ``outer_atol``; looser tolerances move the final energies by more than 1e-10
-ELASTIC_ATOL_FACTOR = 1e-4
-#: CG iterations on the lagged elastic LU before the elastic block is refactored
+#: CG tolerance of the lagged-LU solves of both blocks inside alternate minimization,
+#: as a fraction of ``outer_atol``; looser tolerances move the final energies by more than 1e-10
+LAGGED_ATOL_FACTOR = 1e-4
+#: CG iterations on a lagged LU before the block is refactored
 LAGGED_CG_ITERATIONS = 5
 MAX_VI_ITERATIONS = 200
 #: largest estimated remaining damage travel at a Newton hand-off
@@ -106,6 +109,8 @@ class NonlinearReport:
     newton_attempts: int = 0
     total_krylov_iterations: int = 0   # MINRES iterations of the coupled Newton solves
     omega_bar_min: float = 1.0
+    elastic_factorizations: int = 0    # LUs of the elastic block in the AM sweeps
+    damage_factorizations: int = 0     # LUs of inactive damage blocks in the AM sweeps
     energy_history: list = field(default_factory=list)      # EnergyBreakdown per iterate
     newton_residual_histories: list = field(default_factory=list)
 
@@ -113,19 +118,23 @@ class NonlinearReport:
 # -- first-order optimality ----------------------------------------------------
 
 
-def first_order_residual(state: State, problem: Discretization) -> np.ndarray:
+def first_order_residual(state: State, problem: Discretization, strains=None,
+                         residual_alpha: Optional[np.ndarray] = None) -> np.ndarray:
     """Stacked optimality residual: the u-rows (``u - ubar`` on Dirichlet
     rows) and the Fischer-Burmeister composition of the damage rows with the
-    box ``alpha_lb <= alpha <= 1``."""
-    ru = assemble_residual_u(state, problem, apply_bc=True)
-    ra = assemble_residual_alpha(state, problem)
-    phi_a = fb_composite(state.alpha, ra, state.alpha_lb,
+    box ``alpha_lb <= alpha <= 1``.  ``strains`` (see ``fem.element_strains``)
+    and the damage residual ``residual_alpha``, if given, are those of ``state``."""
+    ru = assemble_residual_u(state, problem, apply_bc=True, strains=strains)
+    if residual_alpha is None:
+        residual_alpha = assemble_residual_alpha(state, problem, strains)
+    phi_a = fb_composite(state.alpha, residual_alpha, state.alpha_lb,
                          np.ones_like(state.alpha))
     return np.concatenate([ru, phi_a])
 
 
-def residual_norm(state: State, problem: Discretization) -> float:
-    return float(np.linalg.norm(first_order_residual(state, problem)))
+def residual_norm(state: State, problem: Discretization, strains=None,
+                  residual_alpha: Optional[np.ndarray] = None) -> float:
+    return float(np.linalg.norm(first_order_residual(state, problem, strains, residual_alpha)))
 
 
 # -- half-steps -----------------------------------------------------------------
@@ -150,21 +159,30 @@ def elastic_step(state: State, problem: Discretization,
     return lagged.solve(K, f, state.u)
 
 
-def damage_step(state: State, problem: Discretization, config: SolverConfig):
+def damage_system(state: State, problem: Discretization, strains=None):
+    """(Kaa, c): the damage residual at ``state.u`` is ``Kaa @ alpha + c`` for every alpha."""
+    Kaa = assemble_Kaa(state, problem, strains)
+    return Kaa, assemble_residual_alpha(state, problem, strains) - Kaa @ state.alpha
+
+
+def damage_step(state: State, problem: Discretization, config: SolverConfig,
+                system=None, lagged: Optional[LaggedFactorization] = None):
     """Minimize the energy in alpha at fixed u, subject to the box constraints.
 
-    The damage residual is affine in alpha at fixed u, so the subproblem is a
-    convex bound-constrained quadratic solved by the active-set method.
+    The damage residual is affine in alpha at fixed u, ``Kaa @ alpha + c`` with
+    ``(Kaa, c) = system`` (default :func:`damage_system`), so the subproblem is a
+    convex bound-constrained quadratic solved by the active-set method; its Newton
+    steps use ``lagged`` as :func:`~phasefrac.vi.reduced_direct_solver` does.
     Returns (alpha, ActiveSetReport).
     """
-    Kaa = assemble_Kaa(state, problem)
-    c = assemble_residual_alpha(state, problem) - Kaa @ state.alpha
+    Kaa, c = damage_system(state, problem) if system is None else system
     mcp = MCProblem(residual=lambda a: Kaa @ a + c,
                     jacobian=lambda a: Kaa,
                     lower=state.alpha_lb,
                     upper=np.ones_like(state.alpha))
     return rsls_solve(mcp, state.alpha, abs_tol=DAMAGE_ATOL_FACTOR * config.outer_atol,
-                      max_iterations=MAX_VI_ITERATIONS)
+                      max_iterations=MAX_VI_ITERATIONS,
+                      linear_solver=partial(reduced_direct_solver, lagged=lagged))
 
 
 # -- alternate minimization ------------------------------------------------------
@@ -177,10 +195,12 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
 
     The first sweep factors the elastic block.  Later sweeps solve it by CG
     from the current iterate, preconditioned by the last factorization of this
-    call, to ``ELASTIC_ATOL_FACTOR * outer_atol``; after
+    call, to ``LAGGED_ATOL_FACTOR * outer_atol``; after
     ``LAGGED_CG_ITERATIONS`` iterations without reaching it, the current
     block is factored and solved exactly instead (the old factorization is
-    released first).
+    released first).  The damage Newton steps do likewise on the last inactive
+    damage block, while the inactive set is unchanged.  A sweep evaluates the
+    strains once, and its damage residual is ``Kaa @ alpha + c`` of its system.
 
     Stops when the optimality norm drops below ``outer_atol``.  When ``rtol``
     is given (the hand-off phase of the composite method) it may stop earlier,
@@ -202,19 +222,21 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
     report = NonlinearReport(omega_bar_min=config.omega, final_residual_norm=phi0)
     report.energy_history.append(assemble_energy(state, problem))
 
-    lagged = LaggedFactorization(ELASTIC_ATOL_FACTOR * config.outer_atol,
-                                 LAGGED_CG_ITERATIONS)
+    lagged_u, lagged_alpha = (LaggedFactorization(LAGGED_ATOL_FACTOR * config.outer_atol,
+                                                  LAGGED_CG_ITERATIONS) for _ in range(2))
     d_prev = None
     while report.am_iterations < config.max_am_iterations:
         report.am_iterations += 1
 
         u_prev = state.u.copy()
-        u_star = elastic_step(state, problem, lagged)
+        u_star = elastic_step(state, problem, lagged_u)
         state.u = u_prev + config.omega * (u_star - u_prev)
         impose_dirichlet(state, problem)
 
+        strains = element_strains(state, problem)
+        Kaa, c = damage_system(state, problem, strains)
         a_prev = state.alpha.copy()
-        a_star, _ = damage_step(state, problem, config)
+        a_star, _ = damage_step(state, problem, config, (Kaa, c), lagged_alpha)
         omega_bar = config.omega
         cand = a_star if omega_bar == 1.0 else a_prev + omega_bar * (a_star - a_prev)
         halvings = 0
@@ -231,8 +253,8 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
         report.omega_bar_min = min(report.omega_bar_min, omega_bar)
         d_alpha = float(np.max(np.abs(state.alpha - a_prev), initial=0.0))
 
-        res = residual_norm(state, problem)
-        energy = assemble_energy(state, problem)
+        res = residual_norm(state, problem, strains, Kaa @ state.alpha + c)
+        energy = assemble_energy(state, problem, strains)
         report.energy_history.append(energy)
         report.final_residual_norm = res
         if log is not None:
@@ -254,6 +276,8 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
         if res <= config.outer_atol or (res <= target and settled):
             report.converged = True
             break
+    report.elastic_factorizations = lagged_u.factorizations
+    report.damage_factorizations = lagged_alpha.factorizations
     return report
 
 
@@ -267,8 +291,9 @@ def _inactive_blocks(J: BlockJacobian, inactive: np.ndarray):
     """
     iu = inactive[inactive < J.nu]
     ia = inactive[inactive >= J.nu] - J.nu
-    return (BlockJacobian(extract_submatrix(J.A, iu, iu), extract_submatrix(J.B, iu, ia),
-                          extract_submatrix(J.C, ia, ia)), iu, ia)
+    # no displacement dof has bounds, so the A block is usually all of J.A
+    A = J.A if iu.size == J.nu else extract_submatrix(J.A, iu, iu)
+    return BlockJacobian(A, extract_submatrix(J.B, iu, ia), extract_submatrix(J.C, ia, ia)), iu, ia
 
 
 def _coupled_linear_solve(J: BlockJacobian, inactive: np.ndarray, rhs: np.ndarray):
@@ -364,16 +389,16 @@ def oram_n_solve(state: State, problem: Discretization,
     for cycle in range(MAX_OUTER_CYCLES):
         phi0 = residual_norm(state, problem)
         if phi0 <= config.outer_atol:
-            report.converged = True
             break
 
         am_rep = am_solve(state, problem, config, rtol=AM_RTOL, cycle=cycle, log=log)
         report.am_iterations += am_rep.am_iterations
         report.omega_bar_min = min(report.omega_bar_min, am_rep.omega_bar_min)
+        report.elastic_factorizations += am_rep.elastic_factorizations
+        report.damage_factorizations += am_rep.damage_factorizations
         start = 1 if report.energy_history else 0
         report.energy_history.extend(am_rep.energy_history[start:])
         if am_rep.final_residual_norm <= config.outer_atol:
-            report.converged = True
             break
         if not math.isfinite(am_rep.final_residual_norm):
             break
@@ -390,7 +415,6 @@ def oram_n_solve(state: State, problem: Discretization,
         if nrep.converged and e_newton.total <= e_handoff + slack:
             state.u, state.alpha = newt_state.u, newt_state.alpha
             report.energy_history.append(e_newton)
-            report.converged = True
             break
 
     report.final_residual_norm = residual_norm(state, problem)
@@ -421,7 +445,6 @@ def solve_load_step(state: State, problem: Discretization, config: SolverConfig,
             newton_iterations=nrep.iterations,
             newton_attempts=1,
             total_krylov_iterations=nrep.total_krylov_iterations,
-            omega_bar_min=1.0,
             energy_history=[assemble_energy(state, problem)],
             newton_residual_histories=[list(nrep.residual_history)])
     return am_solve(state, problem, config, log=log)

@@ -149,9 +149,12 @@ def _merit_gradient(x, F, phi, J, lower, upper) -> np.ndarray:
     return 2.0 * (p * phi + J.T @ (q * phi))
 
 
-def reduced_direct_solver(J, inactive: np.ndarray, rhs: np.ndarray):
-    """Default inner solver: LU on the inactive submatrix of a CSR Jacobian."""
+def reduced_direct_solver(J, inactive: np.ndarray, rhs: np.ndarray, lagged=None):
+    """Default inner solver: LU on the inactive submatrix of a CSR Jacobian, or
+    with ``lagged``, its ``solve`` from zero keyed by the inactive set."""
     sub = extract_submatrix(J, inactive, inactive)
+    if lagged is not None:
+        return lagged.solve(sub, rhs, np.zeros_like(rhs), key=inactive), None
     return direct_factorize(sub).solve(rhs), None
 
 

@@ -17,11 +17,13 @@ from conftest import (coo_hessian_blocks, diag_product_elimination, element_loop
 
 import phasefrac.fem as fem
 
-from phasefrac.fem import (DirichletBC, Discretization, State, apply_dirichlet,
+from phasefrac.cases import setup_surfing, setup_thermal_shock
+from phasefrac.fem import (BlockPattern, DirichletBC, Discretization, State, apply_dirichlet,
                            assemble_energy, assemble_Kaa, assemble_Kua,
                            assemble_Kuu, assemble_load_u,
                            assemble_residual_alpha, assemble_residual_u,
-                           combine_bcs, eliminate_dirichlet, impose_dirichlet)
+                           combine_bcs, element_strains, eliminate_dirichlet,
+                           impose_dirichlet)
 from phasefrac.mesh import boundary_dofs, rect_mesh
 from phasefrac.model import C_W, Material
 
@@ -432,6 +434,23 @@ class TestFixedPattern:
         assemble_Kuu(state, problem, apply_bc=False)
         assert len(built) == 1
 
+    @pytest.mark.parametrize("case, jitter", [("surfing", None), ("thermal", 0.21),
+                                              ("thermal", 0.25), ("thermal", 0.29)])
+    def test_uu_pattern_matches_the_einsum_product(self, case, jitter):
+        # the "uu" pattern is defined by exact zeros of B_e^T D B_e, so the
+        # matmul product must keep the zeros of the three-operand einsum; the
+        # meshes are those of the benchmark workloads
+        if case == "surfing":
+            problem = setup_surfing(Material(ell=0.1), h=0.02).problem
+        else:
+            problem = setup_thermal_shock(Material(ell=1.0), L=10.0, H=4.0, h=0.25,
+                                          jitter=jitter).problem
+        old = np.einsum("eki,kl,elj->eij", problem.B, problem.D, problem.B)
+        ref = BlockPattern(problem.udofs, problem.udofs, (problem.n_udofs,) * 2, weights=old)
+        pat = problem.pattern("uu")
+        assert np.array_equal(pat.indptr, ref.indptr)
+        assert np.array_equal(pat.indices, ref.indices)
+
     def test_results_do_not_share_index_arrays(self, problem):
         state = random_feasible_state(problem, np.random.default_rng(6))
         K1 = assemble_Kaa(state, problem)
@@ -445,7 +464,7 @@ class TestElementOperators:
     """Residuals and energies by constant sparse operators, against a loop
     over elements, and the lifetime of the operators' cache."""
 
-    OPERATORS = {"Bg", "Mg", "Lap"}
+    OPERATORS = {"Bg", "Mg", "Lap", "BgT", "MgT"}
 
     def test_vector_kernels_match_element_loop(self, small_material):
         problem = Discretization(rect_mesh(1.0, 0.5, 0.125), small_material)
@@ -460,6 +479,23 @@ class TestElementOperators:
         got = assemble_energy(state, problem)
         for g, w in zip(got, energy):
             assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+
+    def test_shared_strains_give_the_same_results(self, small_material):
+        problem = Discretization(rect_mesh(1.0, 0.5, 0.125), small_material)
+        rng = np.random.default_rng(43)
+        problem.eps0 = rng.standard_normal((problem.mesh.n_triangles, 3)) * 0.02
+        state = random_feasible_state(problem, rng)
+        strains = element_strains(state, problem)
+        for kernel in (assemble_residual_u, assemble_residual_alpha, assemble_energy):
+            assert np.array_equal(kernel(state, problem, strains=strains),
+                                  kernel(state, problem))
+        assert (abs(assemble_Kaa(state, problem, strains)
+                    - assemble_Kaa(state, problem)).max() == 0.0)
+
+    def test_transposes_are_the_operators_transposed(self, tiny_problem):
+        for op, opT in ((tiny_problem.Bg, tiny_problem.BgT), (tiny_problem.Mg, tiny_problem.MgT)):
+            assert opT.format == "csr" and opT.has_canonical_format
+            assert abs(opT - op.T).max() == 0.0
 
     def test_operators_built_on_first_use_and_freed_without_gc(self, small_material):
         problem = Discretization(rect_mesh(1.0, 0.5, 0.25), small_material)

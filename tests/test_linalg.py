@@ -121,6 +121,16 @@ class TestDirect:
         with pytest.raises(SingularOperatorError):
             direct_factorize(A.tocsr())
 
+    def test_csr_spd_matrix_matches_spsolve(self):
+        # a CSR matrix goes to SuperLU as the CSC view of its transpose
+        rng = np.random.default_rng(41)
+        A = (laplacian_2d(12) + sp.diags(rng.uniform(0.1, 1.0, 144))).tocsr()
+        A = (A + sp.csr_matrix(random_spd(rng, 144, shift=200.0)) * 1e-3).tocsr()
+        b = rng.standard_normal(144)
+        expected = spla.spsolve(A.tocsc(), b)
+        x = direct_factorize(A).solve(b)
+        assert np.allclose(x, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
     def test_spd_fill_not_above_partial_pivoting_on_surfing_block(self):
         setup = setup_surfing(n_steps=2)
         state = State.zeros(setup.mesh)
@@ -212,6 +222,19 @@ class TestLaggedFactorization:
         lagged.solve(self.damaged(1e-3), b, np.zeros_like(b))
         assert alive == [False]
 
+    def test_same_key_keeps_the_factor_and_another_key_refactors(self, factorizations):
+        A = self.damaged(1.0)
+        b = np.linspace(-1.0, 2.0, A.shape[0])
+        lagged = LaggedFactorization(self.ATOL, self.BUDGET)
+        lagged.solve(A, b, np.zeros_like(b), key=np.arange(3))
+        held = lagged.factor
+        lagged.solve(self.damaged(0.999), b, np.zeros_like(b), key=np.arange(3))
+        assert lagged.factor is held and len(factorizations) == 1
+        x = lagged.solve(A, b, np.zeros_like(b), key=np.arange(1, 4))
+        assert lagged.factor is not held and len(factorizations) == 2
+        assert lagged.factorizations == 2
+        assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+
     def test_non_finite_matrix_raises(self):
         lagged = self.held(self.damaged(1.0))
         A = self.damaged(1.0).tolil()
@@ -235,6 +258,25 @@ class TestSubmatrix:
         cols = np.array([1, 2, 4, 9])
         S = extract_submatrix(sp.csr_matrix(A), rows, cols)
         assert np.allclose(S.toarray(), A[np.ix_(rows, cols)], rtol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_fancy_indexing(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = rng.integers(1, 30, size=2)
+        A = sp.random(m, n, density=0.2, random_state=seed, format="lil")
+        A[0, :] = 0.0   # a row that keeps no entry
+        A[:, n - 1] = 0.0   # and a column
+        A = A.tocsr()
+        index_sets = [(np.flatnonzero(rng.random(m) < 0.5), np.flatnonzero(rng.random(n) < 0.5)),
+                      (np.array([0]), np.arange(n)), (np.arange(m), np.array([n - 1])),
+                      (np.arange(0), np.arange(n)), (np.arange(m), np.arange(0)),
+                      (np.arange(0), np.arange(0))]
+        for rows, cols in index_sets:
+            S = extract_submatrix(A, rows, cols)
+            R = A[rows][:, cols]
+            assert S.format == "csr" and S.shape == R.shape == (rows.size, cols.size)
+            assert S.has_sorted_indices and S.nnz == R.nnz
+            assert np.array_equal(S.toarray(), R.toarray())
 
     def test_spd_preserved(self):
         rng = np.random.default_rng(9)

@@ -11,6 +11,7 @@ from hypothesis import assume, given, strategies as st
 
 import phasefrac.linalg
 import phasefrac.runio
+import phasefrac.solver
 from phasefrac import cli
 from phasefrac.cases import setup_surfing, setup_thermal_shock, setup_traction
 from phasefrac.linalg import SingularOperatorError
@@ -348,15 +349,25 @@ class TestRunArtifacts:
 class TestFailureArtifacts:
     def test_linear_solver_error_keeps_artifacts(self, tmp_path, monkeypatch):
         factorize = phasefrac.linalg.direct_factorize
-        calls = []
+        elastic_step = phasefrac.solver.elastic_step
+        calls, in_elastic_step = [], []
 
         def failing_after_10(*args, **kwargs):
-            calls.append(1)
-            if len(calls) > 10:
-                raise SingularOperatorError("injected zero pivot")
+            if in_elastic_step:   # only the elastic LUs count and fail
+                calls.append(1)
+                if len(calls) > 10:
+                    raise SingularOperatorError("injected zero pivot")
             return factorize(*args, **kwargs)
 
+        def marked(*args, **kwargs):
+            in_elastic_step.append(1)
+            try:
+                return elastic_step(*args, **kwargs)
+            finally:
+                in_elastic_step.pop()
+
         monkeypatch.setattr(phasefrac.linalg, "direct_factorize", failing_after_10)
+        monkeypatch.setattr(phasefrac.solver, "elastic_step", marked)
         out = tmp_path / "f"
         cfgfile = tmp_path / "config.ini"
         cfgfile.write_text(TRACTION_SMOKE.format(out=out))

@@ -10,9 +10,11 @@ import phasefrac.linalg
 import phasefrac.solver
 from phasefrac.cases import StepFailureError, run_quasistatic, setup_surfing, setup_traction
 from phasefrac.fem import (State, apply_dirichlet, assemble_energy, assemble_Kuu, assemble_load_u,
-                           impose_dirichlet)
+                           assemble_residual_alpha, impose_dirichlet)
+from phasefrac.linalg import LaggedFactorization
 from phasefrac.model import Material
-from phasefrac.solver import (MAX_NEWTON_ITERATIONS, SolverConfig, am_solve, coupled_mcp,
+from phasefrac.solver import (LAGGED_ATOL_FACTOR, LAGGED_CG_ITERATIONS, MAX_NEWTON_ITERATIONS,
+                              SolverConfig, _inactive_blocks, am_solve, coupled_mcp,
                               coupled_newton_solve, damage_step, elastic_step,
                               first_order_residual, inactive_block_jacobian, oram_n_solve,
                               residual_norm, solve_load_step)
@@ -192,17 +194,22 @@ class TestLaggedElasticSolve:
     def surfing_am(monkeypatch):
         """Short surfing ORAM run; returns (records, elastic factorizations,
         (u_star boundary rows, boundary data) per sweep)."""
-        factorizations = []
+        factorizations, in_elastic_step = [], []
         for module in (phasefrac.solver, phasefrac.linalg):
             def counted(*args, _factorize=module.direct_factorize, **kwargs):
-                factorizations.append(1)
+                if in_elastic_step:   # the damage LUs go through linalg too
+                    factorizations.append(1)
                 return _factorize(*args, **kwargs)
 
             monkeypatch.setattr(module, "direct_factorize", counted)
         boundary_rows = []
 
         def capture(state, problem, *args):
-            u = elastic_step(state, problem, *args)
+            in_elastic_step.append(1)
+            try:
+                u = elastic_step(state, problem, *args)
+            finally:
+                in_elastic_step.pop()
             boundary_rows.append((u[problem.bc.dofs], problem.bc.values.copy()))
             return u
 
@@ -231,6 +238,96 @@ class TestLaggedElasticSolve:
         assert len(boundary_rows) == sum(rec.report.am_iterations for rec in records)
         for u_bc, ubar in boundary_rows:
             assert u_bc.tobytes() == ubar.tobytes()
+
+
+class TestLaggedDamageSolve:
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        """A short surfing ORAM run: (problem, records, damage-step inputs,
+        post-sweep damage residuals, LU counts seen by ``direct_factorize``)."""
+        steps, residuals, counts, in_elastic_step = [], [], {"all": 0, "elastic": 0}, []
+        damage = phasefrac.solver.damage_step
+        norm = phasefrac.solver.residual_norm
+        elastic = phasefrac.solver.elastic_step
+
+        def record_step(state, problem, config, system=None, lagged=None):
+            steps.append((state.copy(), system))
+            return damage(state, problem, config, system, lagged)
+
+        def record_norm(state, problem, strains=None, residual_alpha=None):
+            if residual_alpha is not None:
+                residuals.append((state.copy(), residual_alpha))
+            return norm(state, problem, strains, residual_alpha)
+
+        def marked(*args):
+            in_elastic_step.append(1)
+            try:
+                return elastic(*args)
+            finally:
+                in_elastic_step.pop()
+
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (phasefrac.solver, phasefrac.linalg):
+                def counted(*args, _factorize=module.direct_factorize, **kwargs):
+                    counts["all"] += 1
+                    counts["elastic"] += bool(in_elastic_step)
+                    return _factorize(*args, **kwargs)
+
+                mp.setattr(module, "direct_factorize", counted)
+            mp.setattr(phasefrac.solver, "damage_step", record_step)
+            mp.setattr(phasefrac.solver, "residual_norm", record_norm)
+            mp.setattr(phasefrac.solver, "elastic_step", marked)
+            setup = setup_surfing(MAT, h=0.05, n_steps=3, t_end=0.1)
+            records = run_quasistatic(setup, SolverConfig(omega=1.6), snapshot_stride=0)
+        return setup.problem, records, steps, residuals, counts
+
+    def test_report_counts_the_factorizations(self, recorded):
+        _, records, steps, _, counts = recorded
+        elastic = sum(rec.report.elastic_factorizations for rec in records)
+        damage = sum(rec.report.damage_factorizations for rec in records)
+        assert elastic == counts["elastic"]
+        assert damage == counts["all"] - counts["elastic"]
+        assert 0 < damage < len(steps)
+
+    def test_post_sweep_residual_is_the_assembled_one(self, recorded):
+        problem, _, _, residuals, _ = recorded
+        assert residuals
+        for state, got in residuals:
+            want = assemble_residual_alpha(state, problem)
+            assert abs(got - want).max() <= 1e-12 * abs(want).max()
+
+    def test_lagged_steps_match_fresh_steps(self, recorded, monkeypatch):
+        # replay the recorded damage steps with one lagged holder and with a
+        # fresh LU per Newton step; CG stops at LAGGED_ATOL_FACTOR * outer_atol
+        # (1e-11) on the reduced residual, which moves alpha by ~5e-11 here
+        problem, _, steps, _, _ = recorded
+        config = SolverConfig(omega=1.6)
+        lagged = LaggedFactorization(LAGGED_ATOL_FACTOR * config.outer_atol,
+                                     LAGGED_CG_ITERATIONS)
+        solves = []
+        solver = phasefrac.solver.reduced_direct_solver
+
+        def recording(J, inactive, rhs, lagged=None):
+            before = None if lagged is None else lagged.factorizations
+            out = solver(J, inactive, rhs, lagged=lagged)
+            if lagged is not None:
+                solves.append((inactive, lagged.factorizations - before))
+            return out
+
+        monkeypatch.setattr(phasefrac.solver, "reduced_direct_solver", recording)
+        for state, system in steps:
+            a_lagged, rep_lagged = damage_step(state, problem, config, system, lagged)
+            a_fresh, rep_fresh = damage_step(state, problem, config, system)
+            assert rep_lagged.iterations == rep_fresh.iterations
+            assert abs(a_lagged - a_fresh).max() <= 1e-9
+            e_lagged, e_fresh = (assemble_energy(State(state.u, a, state.alpha_lb), problem).total
+                                 for a in (a_lagged, a_fresh))
+            assert e_lagged == pytest.approx(e_fresh, rel=1e-12, abs=0.0)
+        assert solves[0][1] == 1
+        for (prev, _), (inactive, refactored) in zip(solves, solves[1:]):
+            if not np.array_equal(prev, inactive):
+                assert refactored == 1
+        assert lagged.factorizations == sum(r for _, r in solves) < len(solves)
 
 
 class TestResidualAndBlocks:
@@ -285,6 +382,18 @@ class TestResidualAndBlocks:
         x = np.random.default_rng(1).standard_normal(iu.size + ia.size)
         y = np.random.default_rng(2).standard_normal(iu.size + ia.size)
         assert x @ (J @ y) == pytest.approx(y @ (J @ x), rel=1e-10)
+
+    def test_a_block_is_the_jacobian_block_when_every_u_dof_is_inactive(self, traction):
+        state = cracking_state(traction)
+        am_solve(state, traction.problem, SolverConfig(), rtol=0.1)
+        mcp = coupled_mcp(state, traction.problem)
+        J = mcp.jacobian(np.concatenate([state.u, state.alpha]))
+        nu = traction.problem.n_udofs
+        inactive = np.concatenate([np.arange(nu), nu + np.arange(0, J.na, 2)])
+        red, iu, ia = _inactive_blocks(J, inactive)
+        assert red.A is J.A and iu.size == nu
+        red, _, _ = _inactive_blocks(J, inactive[1:])
+        assert red.A is not J.A and red.A.shape == (nu - 1, nu - 1)
 
     def test_inactive_block_is_newtons_first_system(self, traction, monkeypatch):
         # inactive_block_jacobian and rsls_solve share one active-set slack,
