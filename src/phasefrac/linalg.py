@@ -4,9 +4,9 @@ preconditioner.
 Matrices are scipy CSR (compressed-row storage with sorted, duplicate-free
 indices).  MINRES is written out longhand because its iteration counts and
 residual norms are reported quantities; direct factorization delegates to
-SuperLU, given a CSR matrix as the CSC view of its transpose (``Kuu`` is
-symmetric up to rounding).  A sequence of nearby SPD systems can reuse one LU
-as the preconditioner of a short CG solve, refactoring only when CG misses its
+SuperLU, which factors A^T (the CSC view of CSR A) and solves transposed, so
+every solve is of A.  A sequence of nearby SPD systems can reuse one LU as the
+preconditioner of a short CG solve, refactoring only when CG misses its
 iteration budget or the caller's key changes.  The field-split block
 preconditioner inverts its diagonal blocks with one LU each (``inner_direct``).
 
@@ -17,6 +17,7 @@ which applies a fixed SPD approximation of the inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -68,10 +69,15 @@ class BlockJacobian:
     def T(self) -> "BlockJacobian":
         return self   # symmetric
 
+    @cached_property
+    def Bt(self) -> sp.csr_matrix:
+        """``B.T`` as CSR, built once: ``B.T`` itself is a new matrix on every use."""
+        return self.B.T.tocsr()
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         xu, xa = x[: self.nu], x[self.nu:]
         return np.concatenate([self.A @ xu + self.B @ xa,
-                               self.B.T @ xu + self.C @ xa])
+                               self.Bt @ xu + self.C @ xa])
 
 
 # -- MINRES --------------------------------------------------------------------
@@ -149,13 +155,14 @@ def minres_solve(A, b: np.ndarray, precond=None, rtol: float = 1e-8,
 
 
 class DirectFactorization:
-    """LU factorization handle with a ``solve(b)`` method."""
+    """SuperLU factor of A^T (``_lu``); ``solve(b)`` solves A x = b through
+    SuperLU's transposed path, the faster one on these factors."""
 
     def __init__(self, lu):
         self._lu = lu
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return self._lu.solve(np.asarray(b, dtype=float))
+        return self._lu.solve(np.asarray(b, dtype=float), trans="T")
 
 
 def direct_factorize(A) -> DirectFactorization:
@@ -164,13 +171,14 @@ def direct_factorize(A) -> DirectFactorization:
 
     SuperLU runs in symmetric mode (minimum degree on A^T + A, pivots taken
     on the diagonal), which keeps the symmetric structure and roughly halves
-    the fill of partial pivoting.  A CSR matrix is factored as its transpose, unconverted.
+    the fill of partial pivoting.  It factors A^T, the CSC view of A as CSR
+    (a CSR input is not copied).
     """
-    A_csc = A.T if sp.issparse(A) and A.format == "csr" else sp.csc_matrix(A)
-    if not np.all(np.isfinite(A_csc.data)):
+    At = sp.csr_matrix(A).T
+    if not np.all(np.isfinite(At.data)):
         raise SingularOperatorError("non-finite entry in the matrix to factorize")
     try:
-        lu = spla.splu(A_csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = spla.splu(At, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularOperatorError(f"singular matrix in LU factorization: {exc}") from exc
@@ -272,8 +280,8 @@ class FieldSplitPreconditioner:
     """
 
     def __init__(self, block: BlockJacobian, inner_a: Callable, inner_c: Callable):
-        self._B = block.B.tocsr()
-        self._Bt = block.B.T.tocsr()
+        self._B = block.B
+        self._Bt = block.Bt
         self._inner_a = inner_a
         self._inner_c = inner_c
         self._nu = block.nu

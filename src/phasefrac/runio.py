@@ -304,27 +304,15 @@ def write_vtk(path: Path, mesh, alpha: np.ndarray, u: np.ndarray,
     """Legacy ASCII VTK unstructured grid with damage and displacement."""
     n = mesh.n_vertices
     T = mesh.n_triangles
-    out = io.StringIO()
-    out.write("# vtk DataFile Version 3.0\n")
-    out.write(f"{title}\n")
-    out.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-    out.write(f"POINTS {n} double\n")
-    for x, y in mesh.vertices:
-        out.write(f"{float(x)!r} {float(y)!r} 0.0\n")
-    out.write(f"CELLS {T} {4 * T}\n")
-    for a, b, c in mesh.triangles:
-        out.write(f"3 {a} {b} {c}\n")
-    out.write(f"CELL_TYPES {T}\n")
-    for _ in range(T):
-        out.write("5\n")
-    out.write(f"POINT_DATA {n}\n")
-    out.write("SCALARS alpha double 1\nLOOKUP_TABLE default\n")
-    for v in alpha:
-        out.write(f"{float(v)!r}\n")
-    out.write("VECTORS displacement double\n")
-    for i in range(n):
-        out.write(f"{float(u[2 * i])!r} {float(u[2 * i + 1])!r} 0.0\n")
-    _write_text(path, out.getvalue())
+    _write_text(path, "".join([
+        f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+        f"POINTS {n} double\n", *(f"{x!r} {y!r} 0.0\n" for x, y in mesh.vertices.tolist()),
+        f"CELLS {T} {4 * T}\n", *(f"3 {a} {b} {c}\n" for a, b, c in mesh.triangles.tolist()),
+        f"CELL_TYPES {T}\n", "5\n" * T,
+        f"POINT_DATA {n}\nSCALARS alpha double 1\nLOOKUP_TABLE default\n",
+        *(f"{v!r}\n" for v in alpha.tolist()),
+        "VECTORS displacement double\n",
+        *(f"{x!r} {y!r} 0.0\n" for x, y in u.reshape(-1, 2).tolist())]))
 
 
 def write_provenance(path: Path, cfg: RunConfig, setup: ProblemSetup) -> None:

@@ -131,6 +131,22 @@ class TestDirect:
         x = direct_factorize(A).solve(b)
         assert np.allclose(x, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
+    @pytest.mark.parametrize("form", ["csr", "csc", "dense"])
+    def test_solves_A_not_its_transpose(self, form):
+        # nonsymmetric values on a symmetric pattern, diagonally dominant so
+        # that diagonal pivots are safe
+        rng = np.random.default_rng(42)
+        L = laplacian_2d(8)
+        A = (L + sp.triu(L, 1).multiply(rng.uniform(0.2, 0.8, L.shape))).tocsr()
+        A.setdiag(A.diagonal() + 4.0)
+        b = rng.standard_normal(A.shape[0])
+        M = {"csr": A, "csc": A.tocsc(), "dense": A.toarray()}[form]
+        x = direct_factorize(M).solve(b)
+        assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+        if form == "csr":
+            xt = spla.spsolve(A.T.tocsc(), b)
+            assert np.linalg.norm(x - xt) > 1e-3 * np.linalg.norm(xt)
+
     def test_spd_fill_not_above_partial_pivoting_on_surfing_block(self):
         setup = setup_surfing(n_steps=2)
         state = State.zeros(setup.mesh)
@@ -385,4 +401,8 @@ class TestBlockJacobian:
         assert J.T is J
         assert J.shape == (8, 8)
         assert J.nu == 5 and J.na == 3
+        # one CSR transpose per Jacobian, shared with the preconditioner
+        assert J.Bt.format == "csr" and J.Bt is J.Bt
+        P = FieldSplitPreconditioner(J, inner_direct(J.A), inner_direct(J.C))
+        assert P._Bt is J.Bt
 

@@ -1,6 +1,7 @@
 """Config grammar, run artifacts, parameter sweeps, and the command line."""
 
 import csv
+import io
 import subprocess
 import sys
 from pathlib import Path
@@ -15,9 +16,11 @@ import phasefrac.solver
 from phasefrac import cli
 from phasefrac.cases import setup_surfing, setup_thermal_shock, setup_traction
 from phasefrac.linalg import SingularOperatorError
+from phasefrac.mesh import rect_mesh
 from phasefrac.runio import (ConfigError, ENERGY_COLUMNS, ITERATION_COLUMNS,
                              SUMMARY_COLUMNS, RunConfig, build_setup,
-                             echo_config, parse_config, parse_sweep, run, sweep)
+                             echo_config, parse_config, parse_sweep, run, sweep,
+                             write_vtk)
 from phasefrac.solver import CHOICES, SolverConfig
 
 TRACTION_SMOKE = """
@@ -337,6 +340,39 @@ class TestRunArtifacts:
                 if column != "phase":
                     float(r[column])
         assert "\nK_I = 1.0\n" in (out / "provenance.txt").read_text()
+
+    def test_vtk_bytes_match_per_value_writer(self, tmp_path):
+        # the previous writer, one StringIO.write per value, as the oracle
+        def oracle(mesh, alpha, u, title):
+            n, T = mesh.n_vertices, mesh.n_triangles
+            out = io.StringIO()
+            out.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+            out.write(f"POINTS {n} double\n")
+            for x, y in mesh.vertices:
+                out.write(f"{float(x)!r} {float(y)!r} 0.0\n")
+            out.write(f"CELLS {T} {4 * T}\n")
+            for a, b, c in mesh.triangles:
+                out.write(f"3 {a} {b} {c}\n")
+            out.write(f"CELL_TYPES {T}\n")
+            for _ in range(T):
+                out.write("5\n")
+            out.write(f"POINT_DATA {n}\nSCALARS alpha double 1\nLOOKUP_TABLE default\n")
+            for v in alpha:
+                out.write(f"{float(v)!r}\n")
+            out.write("VECTORS displacement double\n")
+            for i in range(n):
+                out.write(f"{float(u[2 * i])!r} {float(u[2 * i + 1])!r} 0.0\n")
+            return out.getvalue().encode()
+
+        mesh = rect_mesh(1.0, 0.5, 0.1, origin_x2=-0.25, jitter=0.3)
+        rng = np.random.default_rng(19)
+        alpha = rng.uniform(0.0, 1.0, mesh.n_vertices)
+        u = rng.standard_normal(2 * mesh.n_vertices) * 10.0 ** rng.integers(-5, 5, 2 * mesh.n_vertices)
+        alpha[:4] = [0.0, 1.0, 1e-300, 5e-324]
+        u[:6] = [-1e-300, -0.0, 3.0, -2.0, 1e300, -7.0]
+        path = tmp_path / "snapshot.vtk"
+        write_vtk(path, mesh, alpha, u, title="jittered")
+        assert path.read_bytes() == oracle(mesh, alpha, u, "jittered")
 
     def test_rerun_is_bitwise_identical(self, run_dir, tmp_path):
         out2 = tmp_path / "run2"
