@@ -239,17 +239,13 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
         a_star, _ = damage_step(state, problem, config, (Kaa, c), lagged_alpha)
         omega_bar = config.omega
         cand = a_star if omega_bar == 1.0 else a_prev + omega_bar * (a_star - a_prev)
-        halvings = 0
-        while np.any(cand < state.alpha_lb) or np.any(cand > 1.0):
-            # infeasible over-relaxed update: move omega_bar halfway back to 1,
-            # flooring at the always-feasible unrelaxed update
+        # an infeasible over-relaxed update moves omega_bar halfway back to 1,
+        # reached exactly within 54 halvings, where cand is a_star (rsls_solve
+        # keeps it in the box)
+        while omega_bar != 1.0 and (np.any(cand < state.alpha_lb) or np.any(cand > 1.0)):
             omega_bar = 0.5 * (1.0 + omega_bar)
-            halvings += 1
-            if halvings >= 60 or omega_bar == 1.0:
-                omega_bar, cand = 1.0, a_star
-                break
-            cand = a_prev + omega_bar * (a_star - a_prev)
-        state.alpha = np.clip(cand, state.alpha_lb, 1.0)
+            cand = a_star if omega_bar == 1.0 else a_prev + omega_bar * (a_star - a_prev)
+        state.alpha = cand
         report.omega_bar_min = min(report.omega_bar_min, omega_bar)
         d_alpha = float(np.max(np.abs(state.alpha - a_prev), initial=0.0))
 

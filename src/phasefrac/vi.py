@@ -9,8 +9,10 @@ exactly one of
 
 The semismooth residual is built from the Fischer-Burmeister function
 ``phi(a, b) = sqrt(a^2 + b^2) - a - b`` (zero iff a, b >= 0 and a*b = 0),
-composed for two-sided bounds as ``phi(x - l, phi(u - x, -F))``; the squared
-norm of the resulting residual is a smooth merit function.
+composed as ``phi(x - l, phi(u - x, -F))``.  An absent bound is an infinite
+distance, where ``phi(+inf, b) = -b``, so this one formula covers every row
+that has a bound; rows with none pass F through.  The squared norm of the
+residual is a smooth merit function.
 
 ``rsls_solve`` is a reduced-space active-set Newton method: bound-active
 components with the right residual sign are frozen, a Newton step is computed
@@ -73,32 +75,20 @@ class ActiveSetReport:
 
 
 def fb_phi(a, b):
-    """Fischer-Burmeister function sqrt(a^2 + b^2) - a - b (vectorized)."""
+    """Fischer-Burmeister function sqrt(a^2 + b^2) - a - b (vectorized), and
+    its limit -b where a = +inf."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return np.hypot(a, b) - a - b
-
-
-def _bound_masks(lower: np.ndarray, upper: np.ndarray):
-    lo = np.isfinite(lower)
-    up = np.isfinite(upper)
-    return (~lo & ~up), (lo & ~up), (~lo & up), (lo & up)
+    inf = a == np.inf
+    a = np.where(inf, 0.0, a)
+    return np.where(inf, -b, np.hypot(a, b) - a - b)
 
 
 def fb_composite(x: np.ndarray, F: np.ndarray, lower: np.ndarray,
                  upper: np.ndarray) -> np.ndarray:
     """Semismooth residual Phi(x); free rows pass F through unchanged."""
-    free, lonly, uonly, both = _bound_masks(lower, upper)
-    phi = np.empty_like(F)
-    phi[free] = F[free]
-    if lonly.any():
-        phi[lonly] = fb_phi(x[lonly] - lower[lonly], F[lonly])
-    if uonly.any():
-        phi[uonly] = -fb_phi(upper[uonly] - x[uonly], -F[uonly])
-    if both.any():
-        inner = fb_phi(upper[both] - x[both], -F[both])
-        phi[both] = fb_phi(x[both] - lower[both], inner)
-    return phi
+    free = np.isneginf(lower) & np.isposinf(upper)
+    return np.where(free, F, fb_phi(x - lower, fb_phi(upper - x, -F)))
 
 
 def classify_active(x: np.ndarray, F: np.ndarray, lower: np.ndarray,
@@ -106,12 +96,11 @@ def classify_active(x: np.ndarray, F: np.ndarray, lower: np.ndarray,
     """Split indices into bound-active (frozen) and inactive (Newton) sets.
 
     Lower-active: x within zeta of a finite lower bound with F > 0;
-    upper-active: within zeta of a finite upper bound with F < 0.
+    upper-active: within zeta of a finite upper bound with F < 0.  An absent
+    bound is at distance +inf, so it is never within zeta.
     """
-    lo_fin = np.isfinite(lower)
-    up_fin = np.isfinite(upper)
-    lower_active = lo_fin & (x - lower <= zeta) & (F > 0.0)
-    upper_active = up_fin & (upper - x <= zeta) & (F < 0.0) & ~lower_active
+    lower_active = (x - lower <= zeta) & (F > 0.0)
+    upper_active = (upper - x <= zeta) & (F < 0.0) & ~lower_active
     inactive = ~(lower_active | upper_active)
     return ActivePartition(np.flatnonzero(lower_active),
                            np.flatnonzero(upper_active),
@@ -119,33 +108,25 @@ def classify_active(x: np.ndarray, F: np.ndarray, lower: np.ndarray,
 
 
 def _fb_partials(a, b):
-    """(d/da, d/db) of fb_phi with the (1/sqrt2 - 1, .) subgradient at 0."""
+    """(d/da, d/db) of fb_phi with the (1/sqrt2 - 1, .) subgradient at 0, and
+    (0, -1) where a = +inf."""
+    inf = a == np.inf
+    a = np.where(inf, 0.0, a)
     rho = np.hypot(a, b)
     safe = rho > 0.0
     pa = np.where(safe, a / np.where(safe, rho, 1.0) - 1.0, _SQRT2_M1)
     pb = np.where(safe, b / np.where(safe, rho, 1.0) - 1.0, _SQRT2_M1)
-    return pa, pb
+    return np.where(inf, 0.0, pa), np.where(inf, -1.0, pb)
 
 
 def _merit_gradient(x, F, phi, J, lower, upper) -> np.ndarray:
     """Gradient of ||Phi||^2: 2 J_Phi^T Phi with J_Phi = diag(p) + diag(q) J."""
-    free, lonly, uonly, both = _bound_masks(lower, upper)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    q[free] = 1.0
-    if lonly.any():
-        pa, pb = _fb_partials(x[lonly] - lower[lonly], F[lonly])
-        p[lonly], q[lonly] = pa, pb
-    if uonly.any():
-        pa, pb = _fb_partials(upper[uonly] - x[uonly], -F[uonly])
-        p[uonly], q[uonly] = pa, pb
-    if both.any():
-        s = upper[both] - x[both]
-        inner = fb_phi(s, -F[both])
-        pa_o, pb_o = _fb_partials(x[both] - lower[both], inner)
-        pa_i, pb_i = _fb_partials(s, -F[both])
-        p[both] = pa_o - pb_o * pa_i
-        q[both] = -pb_o * pb_i
+    s = upper - x
+    pa_o, pb_o = _fb_partials(x - lower, fb_phi(s, -F))
+    pa_i, pb_i = _fb_partials(s, -F)
+    # free rows: p is already 0, and q = 1 as Phi = F there
+    p = pa_o - pb_o * pa_i
+    q = np.where(np.isneginf(lower) & np.isposinf(upper), 1.0, -pb_o * pb_i)
     return 2.0 * (p * phi + J.T @ (q * phi))
 
 
@@ -198,7 +179,6 @@ def rsls_solve(problem: MCProblem, x0: np.ndarray, abs_tol: float = 1e-8,
 
     for it in range(1, max_iterations + 1):
         if np.sqrt(merit) <= abs_tol:
-            report.converged = True
             break
         report.iterations = it
 

@@ -5,10 +5,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, strategies as st
 
-from conftest import qp_enumerate, random_spd
+from conftest import fd_gradient, qp_enumerate, random_spd
 
-from phasefrac.vi import (MCProblem, active_set_slack, classify_active,
-                          fb_composite, fb_phi, rsls_solve)
+from phasefrac.vi import (MCProblem, _merit_gradient, active_set_slack,
+                          classify_active, fb_composite, fb_phi, rsls_solve)
 
 
 @st.composite
@@ -24,6 +24,71 @@ def boxed_points(draw, max_size=30):
     return np.clip(x, lower, upper), F.astype(float), lower, upper
 
 
+@st.composite
+def edge_points(draw):
+    """``boxed_points`` with some rows moved exactly onto a finite bound and
+    some forces set to exactly 0."""
+    x, F, lower, upper = draw(boxed_points())
+    n = x.size
+    snap = np.array(draw(st.lists(st.sampled_from("-lu"), min_size=n, max_size=n)))
+    x = np.where((snap == "l") & np.isfinite(lower), lower, x)
+    x = np.where((snap == "u") & np.isfinite(upper), upper, x)
+    zero = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return x, np.where(zero, 0.0, F), lower, upper
+
+
+# The four-bound-kind residual and merit gradient that vi.py replaced with one
+# formula, kept as the oracle the one formula must reproduce bit for bit.
+
+def _four_way_masks(lower, upper):
+    lo, up = np.isfinite(lower), np.isfinite(upper)
+    return (~lo & ~up), (lo & ~up), (~lo & up), (lo & up)
+
+
+def _finite_fb_phi(a, b):
+    return np.hypot(a, b) - a - b
+
+
+def _finite_fb_partials(a, b):
+    rho = np.hypot(a, b)
+    safe = rho > 0.0
+    r = np.where(safe, rho, 1.0)
+    return (np.where(safe, a / r - 1.0, 1.0 / np.sqrt(2.0) - 1.0),
+            np.where(safe, b / r - 1.0, 1.0 / np.sqrt(2.0) - 1.0))
+
+
+def four_way_composite(x, F, lower, upper):
+    free, lonly, uonly, both = _four_way_masks(lower, upper)
+    phi = np.empty_like(F)
+    phi[free] = F[free]
+    phi[lonly] = _finite_fb_phi(x[lonly] - lower[lonly], F[lonly])
+    phi[uonly] = -_finite_fb_phi(upper[uonly] - x[uonly], -F[uonly])
+    inner = _finite_fb_phi(upper[both] - x[both], -F[both])
+    phi[both] = _finite_fb_phi(x[both] - lower[both], inner)
+    return phi
+
+
+def four_way_merit_gradient(x, F, phi, J, lower, upper):
+    free, lonly, uonly, both = _four_way_masks(lower, upper)
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    q[free] = 1.0
+    p[lonly], q[lonly] = _finite_fb_partials(x[lonly] - lower[lonly], F[lonly])
+    p[uonly], q[uonly] = _finite_fb_partials(upper[uonly] - x[uonly], -F[uonly])
+    s = upper[both] - x[both]
+    pa_o, pb_o = _finite_fb_partials(x[both] - lower[both],
+                                     _finite_fb_phi(s, -F[both]))
+    pa_i, pb_i = _finite_fb_partials(s, -F[both])
+    p[both] = pa_o - pb_o * pa_i
+    q[both] = -pb_o * pb_i
+    return 2.0 * (p * phi + J.T @ (q * phi))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def qp_problem(H, c, lower, upper):
     Hs = sp.csr_matrix(H)
     return MCProblem(residual=lambda x: Hs @ x + c,
@@ -37,6 +102,9 @@ class TestFischerBurmeister:
         assert fb_phi(0.0, 0.0) == 0.0
         assert fb_phi(3.0, 4.0) == pytest.approx(-2.0, abs=1e-14)
         assert fb_phi(-1.0, 0.0) == pytest.approx(2.0, abs=1e-14)
+        # an absent bound is an infinite distance: phi(+inf, b) is its limit -b
+        for b in (-2.5, 0.0, 3.0):
+            assert fb_phi(np.inf, b) == -b
 
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
     @example(0.0, 0.0)
@@ -50,6 +118,38 @@ class TestFischerBurmeister:
             assert abs(fb_phi(a, b)) <= 1e-12
         elif abs(fb_phi(a, b)) <= 1e-12:
             assert a >= -1e-10 and b >= -1e-10 and abs(a * b) <= 1e-10
+
+    @given(edge_points(), st.integers(0, 2**32 - 1))
+    def test_one_formula_matches_four_bound_kinds_bitwise(self, point, seed):
+        x, F, lower, upper = point
+        phi = fb_composite(x, F, lower, upper)
+        assert same_bits(phi, four_way_composite(x, F, lower, upper))
+        J = sp.random(x.size, x.size, density=0.3, random_state=seed, format="csr")
+        assert same_bits(_merit_gradient(x, F, phi, J, lower, upper),
+                         four_way_merit_gradient(x, F, phi, J, lower, upper))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_merit_gradient_matches_finite_differences(self, seed):
+        # two rows of each bound kind: free, lower only, upper only, both
+        inf = np.inf
+        lower = np.array([-inf, -inf, 0.0, 0.0, -inf, -inf, 0.0, 0.0])
+        upper = np.array([inf, inf, inf, inf, 1.0, 1.0, 1.0, 1.0])
+        rng = np.random.default_rng(seed)
+        A = sp.csr_matrix(rng.standard_normal((8, 8)))
+        c = rng.standard_normal(8)
+        x = rng.uniform(0.1, 0.9, 8)
+        F = A @ x + c
+        # away from the kink of phi at (0, 0), where it is not differentiable
+        inner = fb_phi(upper - x, -F)
+        for a, b in ((x - lower, inner), (upper - x, -F)):
+            assert np.all(np.minimum(np.abs(a), np.abs(b)) > 1e-3)
+
+        def merit(y):
+            phi = fb_composite(y, A @ y + c, lower, upper)
+            return float(phi @ phi)
+
+        got = _merit_gradient(x, F, fb_composite(x, F, lower, upper), A, lower, upper)
+        assert np.allclose(got, fd_gradient(merit, x), rtol=1e-6, atol=1e-8)
 
     def test_composite_one_sided_matches_simple(self):
         # with upper = +inf the two-sided residual reduces to phi(x-l, F)
