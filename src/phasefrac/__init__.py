@@ -44,7 +44,7 @@ from .model import (C_W, Material, critical_shock, critical_traction,
 from .runio import (ConfigError, RunConfig, SweepSpec, build_material,
                     build_setup, configure, echo_config, parse_config,
                     parse_sweep, run, sweep)
-from .solver import (NonlinearReport, SolverConfig, am_solve,
+from .solver import (Iteration, NonlinearReport, SolverConfig, am_solve,
                      coupled_newton_solve, damage_step, elastic_step,
                      first_order_residual, inactive_block_jacobian,
                      oram_n_solve, residual_norm, solve_load_step)
@@ -76,7 +76,7 @@ __all__ = [
     "ConfigError", "RunConfig", "SweepSpec", "build_material", "build_setup",
     "configure", "echo_config", "parse_config", "parse_sweep", "run", "sweep",
     # solver
-    "NonlinearReport", "SolverConfig", "am_solve", "coupled_newton_solve",
+    "Iteration", "NonlinearReport", "SolverConfig", "am_solve", "coupled_newton_solve",
     "damage_step", "elastic_step", "first_order_residual",
     "inactive_block_jacobian", "oram_n_solve", "residual_norm", "solve_load_step",
     # vi

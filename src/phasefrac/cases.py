@@ -20,7 +20,6 @@ damage) and warm starting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -247,11 +246,12 @@ class StepRecord:
 class StepFailureError(RuntimeError):
     """Nonlinear solve failed at one load step; carries the partial run.
 
-    ``report`` is None when a linear solver raised ``cause`` mid-step.
+    ``report`` is the failed step's, filled up to the failure; after a linear
+    solver raised ``cause`` mid-step, ``records`` has no entry for that step.
     """
 
     def __init__(self, step: int, load: float, records: list, state: State,
-                 report: Optional[NonlinearReport], cause: Optional[Exception] = None):
+                 report: NonlinearReport, cause: Optional[Exception] = None):
         if cause is None:
             why = f"final residual {report.final_residual_norm:.3e}"
         else:
@@ -265,8 +265,7 @@ class StepFailureError(RuntimeError):
 
 
 def run_quasistatic(setup: ProblemSetup, config: SolverConfig,
-                    snapshot_stride: int = 1,
-                    log: Optional[Callable[[int, dict], None]] = None) -> list:
+                    snapshot_stride: int = 1) -> list:
     """March a fresh state through the loading schedule.
 
     Per step: the damage lower bound becomes the previous step's damage
@@ -275,9 +274,11 @@ def run_quasistatic(setup: ProblemSetup, config: SolverConfig,
     seed perturbation is merged in when the threshold is first exceeded, and
     the configured nonlinear solver runs.  Field snapshots are stored every
     ``snapshot_stride`` steps (always on the final step); ``snapshot_stride=0``
-    disables them.  ``log(step, row)``, if given, receives the solver's
-    per-iteration rows.  Non-convergence and linear-solver errors raise
-    StepFailureError carrying the records accumulated so far.
+    disables them.  The solver fills each step's ``NonlinearReport`` in place;
+    its ``iterations`` are the AM sweeps, counted from 1, and the Newton
+    iterates, counted from 0 (the starting residual) with NaN energies.
+    Non-convergence and linear-solver errors raise StepFailureError carrying
+    the records accumulated so far and the failed step's report.
     """
     state = State.zeros(setup.mesh, setup.initial_alpha_lb)
     records: list = []
@@ -293,11 +294,11 @@ def run_quasistatic(setup: ProblemSetup, config: SolverConfig,
             state.alpha = np.maximum(state.alpha, setup.seed_alpha)
             seeded = True
 
+        report = NonlinearReport()
         try:
-            report = solve_load_step(state, setup.problem, config,
-                                     log=None if log is None else partial(log, k))
+            solve_load_step(state, setup.problem, config, report)
         except LinearSolverError as exc:
-            raise StepFailureError(k, t, records, state, None, cause=exc) from exc
+            raise StepFailureError(k, t, records, state, report, cause=exc) from exc
         energy = assemble_energy(state, setup.problem)
         snap = snapshot_stride > 0 and (k % snapshot_stride == 0 or k == n - 1)
         records.append(StepRecord(

@@ -9,8 +9,10 @@ README's "Full grammar" block lists every key with its default, plus the
 ``run`` writes into the output directory: ``energies.csv`` (one row per load
 step, columns step,load,elastic,dissipated,total,am_iters,newton_iters,
 krylov_iters,omega_bar_min; krylov_iters counts the MINRES iterations of the
-coupled Newton solves, 0 for ``am``), ``iterations.csv`` (per nonlinear
-iteration), ``step_NNNN.vtk`` legacy ASCII snapshots, and ``provenance.txt``
+coupled Newton solves, 0 for ``am``), ``iterations.csv`` (one row per
+``solver.Iteration`` of each step, a failed step's included: AM sweeps counted
+from 1, Newton iterates from 0, the starting residual, with NaN energies),
+``step_NNNN.vtk`` legacy ASCII snapshots, and ``provenance.txt``
 (version and config echo; no timestamps, so reruns are bitwise identical),
 plus ``FAILED.txt`` when a load step fails.  The ``FAILED.txt`` and snapshots
 of an earlier run in the same directory are removed first.  ``sweep`` runs one
@@ -40,7 +42,7 @@ from . import __version__
 from .cases import (ProblemSetup, StepFailureError, run_quasistatic,
                     setup_surfing, setup_thermal_shock, setup_traction)
 from .model import Material
-from .solver import SolverConfig
+from .solver import Iteration, SolverConfig
 
 
 class ConfigError(ValueError):
@@ -267,8 +269,7 @@ def build_setup(cfg: RunConfig) -> ProblemSetup:
 
 ENERGY_COLUMNS = ("step", "load", "elastic", "dissipated", "total",
                   "am_iters", "newton_iters", "krylov_iters", "omega_bar_min")
-ITERATION_COLUMNS = ("step", "phase", "cycle", "iteration", "residual",
-                     "omega_bar", "elastic", "dissipated", "total")
+ITERATION_COLUMNS = ("step", *Iteration._fields)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -292,10 +293,11 @@ def write_energies_csv(path: Path, records: list) -> None:
     _write_text(path, "\n".join(rows) + "\n")
 
 
-def write_iterations_csv(path: Path, log_rows: list) -> None:
+def write_iterations_csv(path: Path, reports: dict) -> None:
+    """One row per ``Iteration`` of each report; ``reports`` maps step -> report."""
     rows = [",".join(ITERATION_COLUMNS)]
-    for rec in log_rows:
-        rows.append(",".join(_fmt(rec[c]) for c in ITERATION_COLUMNS))
+    for step, report in reports.items():
+        rows.extend(",".join(map(_fmt, (step, *it))) for it in report.iterations)
     _write_text(path, "\n".join(rows) + "\n")
 
 
@@ -333,24 +335,20 @@ def write_provenance(path: Path, cfg: RunConfig, setup: ProblemSetup) -> None:
 def _execute(cfg: RunConfig):
     """Run a config and write its artifacts.  Returns (records, error)."""
     setup = build_setup(cfg)
-    log_rows: list = []
-
-    def log(step: int, row: dict) -> None:
-        log_rows.append({"step": step, **row})
-
     error: Optional[StepFailureError] = None
     try:
-        records = run_quasistatic(setup, cfg.solver, snapshot_stride=cfg.snapshot_stride,
-                                  log=log)
+        records = run_quasistatic(setup, cfg.solver, snapshot_stride=cfg.snapshot_stride)
     except StepFailureError as exc:
-        records = exc.records
-        error = exc
+        records, error = exc.records, exc
+    reports = {rec.step: rec.report for rec in records}
+    if error is not None:   # a linear-solver failure left its step without a record
+        reports[error.step] = error.report
     out = Path(cfg.directory)
     for stale in [out / "FAILED.txt", *out.glob("step_[0-9][0-9][0-9][0-9].vtk")]:
         stale.unlink(missing_ok=True)
     write_provenance(out / "provenance.txt", cfg, setup)
     write_energies_csv(out / "energies.csv", records)
-    write_iterations_csv(out / "iterations.csv", log_rows)
+    write_iterations_csv(out / "iterations.csv", reports)
     for rec in records:
         if rec.alpha is not None:
             write_vtk(out / f"step_{rec.step:04d}.vtk", setup.mesh,

@@ -21,6 +21,9 @@ residual composed through the Fischer-Burmeister function against the bounds
   relative tolerance and then hand over to the coupled Newton solver; a
   failed Newton phase keeps its last (merit-nonincreasing) iterate and
   returns to alternate minimization.
+
+Each fills a ``NonlinearReport`` in place (a new one by default) with its
+counts and one ``Iteration`` row per AM sweep or Newton iterate.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -63,8 +66,6 @@ MAX_VI_ITERATIONS = 200
 #: largest estimated remaining damage travel at a Newton hand-off
 NEWTON_DALPHA = 1e-6
 
-Log = Callable[[dict], None]   # receives one row per nonlinear iteration
-
 #: INI section of the linear-solver fields (the rest are read from [solver])
 _LINEAR = {"section": "linear"}
 
@@ -98,9 +99,24 @@ class SolverConfig:
                 f"max_am_iterations must be at least 1, got {self.max_am_iterations!r}")
 
 
+class Iteration(NamedTuple):
+    """One row of a load step's record: an AM sweep (counted from 1, energies
+    after it) or a Newton iterate (counted from 0, the starting residual; NaN
+    energies and ``omega_bar``)."""
+
+    phase: str      # "am" or "newton"
+    cycle: int      # outer cycle of oram_newton, else 0
+    iteration: int
+    residual: float
+    omega_bar: float = math.nan
+    elastic: float = math.nan
+    dissipated: float = math.nan
+    total: float = math.nan
+
+
 @dataclass
 class NonlinearReport:
-    """Outcome and cost accounting of one load-step solve."""
+    """Outcome, cost accounting and iteration record of one load-step solve."""
 
     converged: bool = False
     final_residual_norm: float = np.inf
@@ -108,11 +124,15 @@ class NonlinearReport:
     newton_iterations: int = 0
     newton_attempts: int = 0
     total_krylov_iterations: int = 0   # MINRES iterations of the coupled Newton solves
-    omega_bar_min: float = 1.0
     elastic_factorizations: int = 0    # LUs of the elastic block in the AM sweeps
     damage_factorizations: int = 0     # LUs of inactive damage blocks in the AM sweeps
-    energy_history: list = field(default_factory=list)      # EnergyBreakdown per iterate
-    newton_residual_histories: list = field(default_factory=list)
+    entry_energy: float = np.nan       # total energy where the first AM phase started
+    iterations: list = field(default_factory=list)   # Iteration rows, in order
+
+    @property
+    def omega_bar_min(self) -> float:
+        """Smallest relaxation weight applied by an AM sweep; 1.0 without sweeps."""
+        return min((r.omega_bar for r in self.iterations if r.phase == "am"), default=1.0)
 
 
 # -- first-order optimality ----------------------------------------------------
@@ -190,7 +210,7 @@ def damage_step(state: State, problem: Discretization, config: SolverConfig,
 
 def am_solve(state: State, problem: Discretization, config: SolverConfig,
              rtol: Optional[float] = None, cycle: int = 0,
-             log: Optional[Log] = None) -> NonlinearReport:
+             report: Optional[NonlinearReport] = None) -> NonlinearReport:
     """Alternate minimization with over-relaxation; mutates ``state`` in place.
 
     The first sweep factors the elastic block.  Later sweeps solve it by CG
@@ -212,22 +232,20 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
     stays large, preventing a premature hand-off after which Newton would
     converge to a different stationary point than the one alternate
     minimization is descending to.  Always performs at least one iteration,
-    and stops unconverged as soon as the norm is not finite.  ``log``, if
-    given, receives one row per sweep.
+    and stops unconverged as soon as the norm is not finite.  Adds one ``am``
+    row per sweep to ``report``, numbered from 1 in this call.
     """
+    report = NonlinearReport() if report is None else report
     impose_dirichlet(state, problem)
     phi0 = residual_norm(state, problem)
     target = config.outer_atol if rtol is None else max(rtol * phi0, config.outer_atol)
-
-    report = NonlinearReport(omega_bar_min=config.omega, final_residual_norm=phi0)
-    report.energy_history.append(assemble_energy(state, problem))
+    if not report.iterations:
+        report.entry_energy = assemble_energy(state, problem).total
 
     lagged_u, lagged_alpha = (LaggedFactorization(LAGGED_ATOL_FACTOR * config.outer_atol,
                                                   LAGGED_CG_ITERATIONS) for _ in range(2))
     d_prev = None
-    while report.am_iterations < config.max_am_iterations:
-        report.am_iterations += 1
-
+    for sweep in range(1, config.max_am_iterations + 1):
         u_prev = state.u.copy()
         u_star = elastic_step(state, problem, lagged_u)
         state.u = u_prev + config.omega * (u_star - u_prev)
@@ -246,20 +264,14 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
             omega_bar = 0.5 * (1.0 + omega_bar)
             cand = a_star if omega_bar == 1.0 else a_prev + omega_bar * (a_star - a_prev)
         state.alpha = cand
-        report.omega_bar_min = min(report.omega_bar_min, omega_bar)
         d_alpha = float(np.max(np.abs(state.alpha - a_prev), initial=0.0))
 
         res = residual_norm(state, problem, strains, Kaa @ state.alpha + c)
         energy = assemble_energy(state, problem, strains)
-        report.energy_history.append(energy)
+        report.iterations.append(Iteration("am", cycle, sweep, res, omega_bar, energy.elastic,
+                                           energy.dissipated, energy.total))
+        report.am_iterations += 1
         report.final_residual_norm = res
-        if log is not None:
-            log({
-                "phase": "am", "cycle": cycle, "iteration": report.am_iterations,
-                "residual": res, "omega_bar": omega_bar,
-                "elastic": energy.elastic, "dissipated": energy.dissipated,
-                "total": energy.total,
-            })
         if rtol is None or d_alpha == 0.0:
             settled = True
         elif d_prev is not None and d_alpha < d_prev:
@@ -272,8 +284,8 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
         if res <= config.outer_atol or (res <= target and settled):
             report.converged = True
             break
-    report.elastic_factorizations = lagged_u.factorizations
-    report.damage_factorizations = lagged_alpha.factorizations
+    report.elastic_factorizations += lagged_u.factorizations
+    report.damage_factorizations += lagged_alpha.factorizations
     return report
 
 
@@ -334,11 +346,14 @@ def coupled_mcp(state: State, problem: Discretization) -> MCProblem:
 
 def coupled_newton_solve(state: State, problem: Discretization,
                          config: SolverConfig, cycle: int = 0,
-                         log: Optional[Log] = None):
+                         report: Optional[NonlinearReport] = None):
     """Active-set Newton on the stacked system from the current state.
 
     Does not mutate ``state``; returns (new_state, ActiveSetReport).  The
     returned state is the last merit-nonincreasing iterate even on failure.
+    ``report``, if given, takes the outcome, counts the attempt and its
+    Newton and MINRES iterations, and gets one ``newton`` row per residual,
+    the starting one first.
 
     The boundary rows of ``state.u`` should already satisfy the Dirichlet
     data (run an elastic presolve or an alternate-minimization sweep first):
@@ -354,17 +369,18 @@ def coupled_newton_solve(state: State, problem: Discretization,
     out = state.copy()
     out.u = x[:problem.n_udofs]
     out.alpha = x[problem.n_udofs:]
-    if log is not None:
-        for k, r in enumerate(rep.residual_history):
-            log({"phase": "newton", "cycle": cycle, "iteration": k,
-                                 "residual": r, "omega_bar": np.nan,
-                                 "elastic": np.nan, "dissipated": np.nan,
-                                 "total": np.nan})
+    if report is not None:
+        report.converged, report.final_residual_norm = rep.converged, rep.final_residual_norm
+        report.newton_attempts += 1
+        report.newton_iterations += rep.iterations
+        report.total_krylov_iterations += rep.total_krylov_iterations
+        report.iterations.extend(Iteration("newton", cycle, k, r)
+                                 for k, r in enumerate(rep.residual_history))
     return out, rep
 
 
-def oram_n_solve(state: State, problem: Discretization,
-                 config: SolverConfig, log: Optional[Log] = None) -> NonlinearReport:
+def oram_n_solve(state: State, problem: Discretization, config: SolverConfig,
+                 report: Optional[NonlinearReport] = None) -> NonlinearReport:
     """Over-relaxed alternate minimization composed with coupled Newton.
 
     Each outer cycle measures the optimality norm, runs alternate
@@ -379,38 +395,25 @@ def oram_n_solve(state: State, problem: Discretization,
     hand-off point with a tighter target — so the accepted-state energy never
     exceeds the pure alternate-minimization trajectory.
     """
-    report = NonlinearReport(omega_bar_min=config.omega)
+    report = NonlinearReport() if report is None else report
     impose_dirichlet(state, problem)
 
     for cycle in range(MAX_OUTER_CYCLES):
-        phi0 = residual_norm(state, problem)
-        if phi0 <= config.outer_atol:
+        if residual_norm(state, problem) <= config.outer_atol:
             break
 
-        am_rep = am_solve(state, problem, config, rtol=AM_RTOL, cycle=cycle, log=log)
-        report.am_iterations += am_rep.am_iterations
-        report.omega_bar_min = min(report.omega_bar_min, am_rep.omega_bar_min)
-        report.elastic_factorizations += am_rep.elastic_factorizations
-        report.damage_factorizations += am_rep.damage_factorizations
-        start = 1 if report.energy_history else 0
-        report.energy_history.extend(am_rep.energy_history[start:])
-        if am_rep.final_residual_norm <= config.outer_atol:
+        am_solve(state, problem, config, rtol=AM_RTOL, cycle=cycle, report=report)
+        if not math.isfinite(report.final_residual_norm):
             break
-        if not math.isfinite(am_rep.final_residual_norm):
+        if report.final_residual_norm <= config.outer_atol:
             break
 
-        e_handoff = am_rep.energy_history[-1].total
-        newt_state, nrep = coupled_newton_solve(state, problem, config, cycle=cycle, log=log)
-        report.newton_attempts += 1
-        report.newton_iterations += nrep.iterations
-        report.total_krylov_iterations += nrep.total_krylov_iterations
-        report.newton_residual_histories.append(list(nrep.residual_history))
-        e_newton = assemble_energy(newt_state, problem)
-
-        slack = 1e-12 * (1.0 + abs(e_handoff))
-        if nrep.converged and e_newton.total <= e_handoff + slack:
+        e_handoff = report.iterations[-1].total
+        newt_state, nrep = coupled_newton_solve(state, problem, config, cycle=cycle,
+                                                report=report)
+        e_newton = assemble_energy(newt_state, problem).total
+        if nrep.converged and e_newton <= e_handoff + 1e-12 * (1.0 + abs(e_handoff)):
             state.u, state.alpha = newt_state.u, newt_state.alpha
-            report.energy_history.append(e_newton)
             break
 
     report.final_residual_norm = residual_norm(state, problem)
@@ -419,10 +422,11 @@ def oram_n_solve(state: State, problem: Discretization,
 
 
 def solve_load_step(state: State, problem: Discretization, config: SolverConfig,
-                    log: Optional[Log] = None) -> NonlinearReport:
-    """Dispatch one load step to the configured method; mutates ``state``."""
+                    report: Optional[NonlinearReport] = None) -> NonlinearReport:
+    """Dispatch one load step to the configured method; mutates ``state``, fills ``report``."""
+    report = NonlinearReport() if report is None else report
     if config.method == "oram_newton":
-        return oram_n_solve(state, problem, config, log=log)
+        return oram_n_solve(state, problem, config, report)
     if config.method == "newton_only":
         # Lift the new boundary data onto the iterate with one linear elastic
         # presolve at the current damage.  The boundary rows must be exactly
@@ -433,17 +437,10 @@ def solve_load_step(state: State, problem: Discretization, config: SolverConfig,
         # boundary values instead creates a strain spike whose damage driving
         # force strands the merit line search.
         state.u = elastic_step(state, problem)
-        new_state, nrep = coupled_newton_solve(state, problem, config, log=log)
+        new_state, _ = coupled_newton_solve(state, problem, config, report=report)
         state.u, state.alpha = new_state.u, new_state.alpha
-        return NonlinearReport(
-            converged=nrep.converged,
-            final_residual_norm=nrep.final_residual_norm,
-            newton_iterations=nrep.iterations,
-            newton_attempts=1,
-            total_krylov_iterations=nrep.total_krylov_iterations,
-            energy_history=[assemble_energy(state, problem)],
-            newton_residual_histories=[list(nrep.residual_history)])
-    return am_solve(state, problem, config, log=log)
+        return report
+    return am_solve(state, problem, config, report=report)
 
 
 # -- reduced block system at a solved state ----------------------------------------

@@ -52,6 +52,8 @@ class MCProblem:
         self.upper = np.asarray(self.upper, dtype=float)
         if self.lower.shape != self.upper.shape:
             raise ValueError("bound shapes differ")
+        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
+            raise ValueError("bounds must not be NaN")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
 

@@ -399,7 +399,8 @@ def test_criterion_11_monotonicity_suite(traction_run, traction_omega_runs,
     for name, omega, records in runs:
         if omega == 1.0:
             for rec in records:
-                totals = [e.total for e in rec.report.energy_history]
+                totals = [rec.report.entry_energy] + [
+                    it.total for it in rec.report.iterations if it.phase == "am"]
                 n_energy += 1
                 slack = 1e-10 * (1.0 + abs(totals[0]))
                 if np.any(np.diff(totals) > slack):
@@ -413,7 +414,13 @@ def test_criterion_11_monotonicity_suite(traction_run, traction_omega_runs,
                 break
 
         for rec in records:
-            for hist in rec.report.newton_residual_histories:
+            hists = []   # one residual history per Newton phase, from its iteration 0
+            for it in rec.report.iterations:
+                if it.phase == "newton":
+                    if it.iteration == 0:
+                        hists.append([])
+                    hists[-1].append(it.residual)
+            for hist in hists:
                 n_newton += 1
                 slack = 1e-12 * (1.0 + hist[0])
                 if np.any(np.diff(hist) > slack):

@@ -44,3 +44,6 @@ def test_retired_names_are_gone():
     assert not hasattr(phasefrac.mesh, "BOUNDARY_TAGS")
     assert not hasattr(phasefrac.model, "internal_length")
     assert not hasattr(phasefrac.vi, "mcp_residual")
+    assert not hasattr(phasefrac.solver, "Log")
+    assert {"energy_history", "newton_residual_histories"}.isdisjoint(
+        vars(phasefrac.NonlinearReport()))

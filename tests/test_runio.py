@@ -4,6 +4,7 @@ import csv
 import io
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,13 @@ def run_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def newton_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("artifacts") / "newton"
+    assert run(parse_config(SURFING_NEWTON_SMOKE.format(out=out))) == 0
+    return out
+
+
 class TestRunArtifacts:
 
     def test_expected_files(self, run_dir):
@@ -330,9 +338,27 @@ class TestRunArtifacts:
         assert len(data) == npts
         assert min(data) >= 0.0 and max(data) <= 1.0 + 1e-12
 
-    def test_numpy_scalars_written_as_plain_floats(self, tmp_path):
-        out = tmp_path / "newton"
-        assert run(parse_config(SURFING_NEWTON_SMOKE.format(out=out))) == 0
+    @pytest.mark.parametrize("out, newton", [("run_dir", False), ("newton_dir", True)])
+    def test_iteration_rows_match_step_counts(self, out, newton, request):
+        # per step: one am row per sweep, one newton row per iterate plus the
+        # starting residual (iteration 0) of each Newton phase
+        out = request.getfixturevalue(out)
+        rows = read_csv(out / "iterations.csv")
+        counted = Counter((r["step"], r["phase"]) for r in rows
+                          if r["phase"] == "am" or int(r["iteration"]) > 0)
+        steps = read_csv(out / "energies.csv")
+        for s in steps:
+            assert counted[s["step"], "am"] == int(s["am_iters"])
+            assert counted[s["step"], "newton"] == int(s["newton_iters"])
+        sweeps = {}   # AM sweeps count from 1 in each phase
+        for r in rows:
+            if r["phase"] == "am":
+                sweeps.setdefault((r["step"], r["cycle"]), []).append(int(r["iteration"]))
+        assert all(n == list(range(1, len(n) + 1)) for n in sweeps.values())
+        assert (sum(int(s["newton_iters"]) for s in steps) > 0) == newton
+
+    def test_numpy_scalars_written_as_plain_floats(self, newton_dir):
+        out = newton_dir
         rows = read_csv(out / "iterations.csv")
         assert any(r["phase"] == "newton" for r in rows)
         for r in rows:
@@ -412,6 +438,10 @@ class TestFailureArtifacts:
         # steps 0 and 1 take 8 elastic factorizations; step 2 fails at a
         # refactorization after a missed CG budget
         assert [r["step"] for r in rows] == ["0", "1"]
+        # the sweeps step 2 ran before the injected error are kept
+        step2 = [r for r in read_csv(out / "iterations.csv") if r["step"] == "2"]
+        assert step2 and {r["phase"] for r in step2} == {"am"}
+        assert [int(r["iteration"]) for r in step2] == list(range(1, len(step2) + 1))
         failed = (out / "FAILED.txt").read_text()
         assert "at step 2 " in failed
         assert "SingularOperatorError: injected zero pivot" in failed

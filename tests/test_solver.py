@@ -141,7 +141,8 @@ class TestAlternateMinimization:
         records = run_quasistatic(setup, SolverConfig(omega=1.0),
                                   snapshot_stride=0)
         for rec in records:
-            totals = [e.total for e in rec.report.energy_history]
+            report = rec.report
+            totals = [report.entry_energy] + [it.total for it in report.iterations]
             drops = np.diff(totals)
             assert np.all(drops <= 1e-12 * (1.0 + abs(totals[0])))
 
@@ -509,6 +510,11 @@ class TestDispatch:
         rep = solve_load_step(state, traction.problem,
                               SolverConfig(method="newton_only"))
         assert rep.am_iterations == 0 and rep.newton_attempts == 1
+        # no relaxed damage update is taken, whatever omega is
+        state = loaded_state(traction, 0.4)
+        rep = solve_load_step(state, traction.problem,
+                              SolverConfig(method="newton_only", omega=1.6))
+        assert rep.newton_attempts == 1 and rep.omega_bar_min == 1.0
 
     def test_newton_only_hands_newton_exact_boundary_rows(self, monkeypatch):
         # the coupled Newton solve needs exact Dirichlet rows; the LU

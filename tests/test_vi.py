@@ -319,6 +319,14 @@ class TestRSLS:
             MCProblem(residual=lambda x: x, jacobian=lambda x: sp.eye(2),
                       lower=np.array([0.0, 2.0]), upper=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("lower, upper", [([np.nan, 0.0], [1.0, 1.0]),
+                                              ([0.0, 0.0], [1.0, np.nan])])
+    def test_nan_bounds_raise(self, lower, upper):
+        # NaN compares False with everything, so it would pass the ordering check
+        with pytest.raises(ValueError, match="NaN"):
+            MCProblem(residual=lambda x: x - 0.5, jacobian=lambda x: sp.eye(2),
+                      lower=lower, upper=upper)
+
     @pytest.mark.parametrize("n", [3, 2100])
     def test_non_finite_jacobian_is_a_linear_failure(self, n):
         # the LU rejects the block with a typed error, which rsls_solve counts
