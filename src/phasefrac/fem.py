@@ -99,7 +99,7 @@ def combine_bcs(*bcs: DirichletBC) -> DirichletBC:
 class Discretization:
     """Mesh + material with precomputed element geometry and mutable load data.
 
-    ``bc`` (displacement Dirichlet data) and ``eps0`` (per-element inelastic
+    ``bc`` (displacement Dirichlet data, empty at first) and ``eps0`` (per-element inelastic
     strain in Voigt form) are set per load step by the drivers; all assembly
     routines are pure functions of (state, problem attributes).
     """
@@ -107,7 +107,7 @@ class Discretization:
     def __init__(self, mesh: Mesh, material: Material):
         self.mesh = mesh
         self.material = material
-        self.bc: Optional[DirichletBC] = None
+        self.bc = DirichletBC((), ())
 
         tri = mesh.triangles
         xy = mesh.vertices
@@ -236,7 +236,7 @@ def assemble_residual_u(state: State, problem: Discretization,
     a, _, _ = degradation(problem.Mg @ state.alpha, problem.material.k_ell)
     sig, _ = element_strains(state, problem) if strains is None else strains
     r = problem.BgT @ ((a * problem.area)[:, None] * sig).ravel()
-    if apply_bc and problem.bc is not None:
+    if apply_bc:
         r[problem.bc.dofs] = state.u[problem.bc.dofs] - problem.bc.values
     return r
 
@@ -312,7 +312,7 @@ def assemble_Kuu(state: State, problem: Discretization, apply_bc: bool = True) -
     a, _, _ = degradation(problem.Mg @ state.alpha, problem.material.k_ell)
     pat = problem.pattern("uu")
     K = pat.matrix(pat.P @ (a * problem.area))
-    if apply_bc and problem.bc is not None:
+    if apply_bc:
         K = eliminate_dirichlet(K, problem)
     return K
 
@@ -324,7 +324,7 @@ def assemble_Kua(state: State, problem: Discretization, apply_bc: bool = True) -
     v = (ap * problem.area / 3.0)[:, None] * np.einsum("eik,ei->ek", problem.B, sig)
     pat, data = problem.pattern("ua"), np.repeat(v, 3)  # identical columns per node
     K = pat.matrix(np.bincount(pat.slots, weights=data, minlength=pat.nnz))
-    if apply_bc and problem.bc is not None:
+    if apply_bc:
         K = eliminate_dirichlet(K, problem, "ua")
     return K
 
@@ -402,12 +402,9 @@ def apply_dirichlet(K: sp.csr_matrix, rhs: np.ndarray, problem: Discretization):
     """Symmetric elimination of ``problem.bc`` from the system K x = rhs (block ``"uu"``).
 
     Returns (K', rhs') with K'[j, :] = K'[:, j] = e_j and rhs'[j] = value_j for
-    constrained j, and rhs adjusted on free rows so the solution is unchanged;
-    (K, rhs) themselves when there is no boundary data.
+    constrained j, and rhs adjusted on free rows so the solution is unchanged.
     """
     bc = problem.bc
-    if bc is None:
-        return K, rhs
     g = np.zeros(K.shape[0])
     g[bc.dofs] = bc.values
     rhs2 = rhs - K @ g
@@ -417,5 +414,4 @@ def apply_dirichlet(K: sp.csr_matrix, rhs: np.ndarray, problem: Discretization):
 
 def impose_dirichlet(state: State, problem: Discretization) -> None:
     """Set the constrained displacement dofs of ``state`` to their values."""
-    if problem.bc is not None:
-        state.u[problem.bc.dofs] = problem.bc.values
+    state.u[problem.bc.dofs] = problem.bc.values

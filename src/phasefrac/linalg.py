@@ -280,18 +280,15 @@ class FieldSplitPreconditioner:
     """
 
     def __init__(self, block: BlockJacobian, inner_a: Callable, inner_c: Callable):
-        self._B = block.B
-        self._Bt = block.Bt
+        self.block = block
         self._inner_a = inner_a
         self._inner_c = inner_c
-        self._nu = block.nu
-        self.shape = block.shape
 
     def matvec(self, r: np.ndarray) -> np.ndarray:
-        ru, ra = r[: self._nu], r[self._nu:]
-        y1 = self._inner_a(ru)
-        z = self._inner_c(ra - self._Bt @ y1)
-        xu = y1 - self._inner_a(self._B @ z)
+        J, nu = self.block, self.block.nu
+        y1 = self._inner_a(r[:nu])
+        z = self._inner_c(r[nu:] - J.Bt @ y1)
+        xu = y1 - self._inner_a(J.B @ z)
         return np.concatenate([xu, z])
 
 

@@ -280,25 +280,26 @@ def _write_text(path: Path, text: str) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_csv(path: Path, columns, rows) -> None:
+    """A header of ``columns``, then one line per row with each value ``_fmt``-ed."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(map(_fmt, row) for row in rows)
+    _write_text(path, out.getvalue())
+
+
 def write_energies_csv(path: Path, records: list) -> None:
-    rows = [",".join(ENERGY_COLUMNS)]
-    for rec in records:
-        r = rec.report
-        rows.append(",".join([
-            str(rec.step), _fmt(rec.load),
-            _fmt(rec.energy.elastic), _fmt(rec.energy.dissipated),
-            _fmt(rec.energy.total), str(r.am_iterations),
-            str(r.newton_iterations), str(r.total_krylov_iterations),
-            _fmt(r.omega_bar_min)]))
-    _write_text(path, "\n".join(rows) + "\n")
+    _write_csv(path, ENERGY_COLUMNS, (
+        (rec.step, rec.load, *rec.energy, rec.report.am_iterations,
+         rec.report.newton_iterations, rec.report.total_krylov_iterations,
+         rec.report.omega_bar_min) for rec in records))
 
 
 def write_iterations_csv(path: Path, reports: dict) -> None:
     """One row per ``Iteration`` of each report; ``reports`` maps step -> report."""
-    rows = [",".join(ITERATION_COLUMNS)]
-    for step, report in reports.items():
-        rows.extend(",".join(map(_fmt, (step, *it))) for it in report.iterations)
-    _write_text(path, "\n".join(rows) + "\n")
+    _write_csv(path, ITERATION_COLUMNS, ((step, *it) for step, report in reports.items()
+                                         for it in report.iterations))
 
 
 def write_vtk(path: Path, mesh, alpha: np.ndarray, u: np.ndarray,
@@ -446,10 +447,6 @@ def sweep(spec: SweepSpec, threads: int = 1,
         if ref["status"] == "ok" and row["status"] == "ok" and ref_am > 0:
             row["reduction"] = 1.0 - row["total_am_iters"] / ref_am
 
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SUMMARY_COLUMNS)
-    for row in rows:
-        writer.writerow(_fmt(row[c]) for c in SUMMARY_COLUMNS)
-    _write_text(Path(base.directory) / "summary.csv", out.getvalue())
+    _write_csv(Path(base.directory) / "summary.csv", SUMMARY_COLUMNS,
+               ([row[c] for c in SUMMARY_COLUMNS] for row in rows))
     return 0

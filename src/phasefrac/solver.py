@@ -23,7 +23,8 @@ residual composed through the Fischer-Burmeister function against the bounds
   returns to alternate minimization.
 
 Each fills a ``NonlinearReport`` in place (a new one by default) with its
-counts and one ``Iteration`` row per AM sweep or Newton iterate.
+outcome, its counts (MINRES iterations included) and one ``Iteration`` row per
+AM sweep or Newton iterate; nothing else reports out of a solve.
 """
 
 from __future__ import annotations
@@ -237,8 +238,8 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
     """
     report = NonlinearReport() if report is None else report
     impose_dirichlet(state, problem)
-    phi0 = residual_norm(state, problem)
-    target = config.outer_atol if rtol is None else max(rtol * phi0, config.outer_atol)
+    target = (config.outer_atol if rtol is None
+              else max(rtol * residual_norm(state, problem), config.outer_atol))
     if not report.iterations:
         report.entry_energy = assemble_energy(state, problem).total
 
@@ -304,15 +305,18 @@ def _inactive_blocks(J: BlockJacobian, inactive: np.ndarray):
     return BlockJacobian(A, extract_submatrix(J.B, iu, ia), extract_submatrix(J.C, ia, ia)), iu, ia
 
 
-def _coupled_linear_solve(J: BlockJacobian, inactive: np.ndarray, rhs: np.ndarray):
-    """Field-split MINRES on the inactive block of the stacked Newton system."""
+def _coupled_linear_solve(J: BlockJacobian, inactive: np.ndarray, rhs: np.ndarray,
+                          report: NonlinearReport) -> np.ndarray:
+    """Field-split MINRES on the inactive block of the stacked Newton system;
+    a converged solve adds its iterations to ``report.total_krylov_iterations``."""
     red, _, _ = _inactive_blocks(J, inactive)
     precond = FieldSplitPreconditioner(red, inner_direct(red.A), inner_direct(red.C))
     d, rep = minres_solve(red, rhs, precond=precond, rtol=FIELDSPLIT_RTOL)
     if not rep.converged:
         raise LinearSolverError(
             f"field-split MINRES stalled at residual {rep.final_residual_norm:.3e}")
-    return d, rep
+    report.total_krylov_iterations += rep.iterations
+    return d
 
 
 def coupled_mcp(state: State, problem: Discretization) -> MCProblem:
@@ -346,14 +350,14 @@ def coupled_mcp(state: State, problem: Discretization) -> MCProblem:
 
 def coupled_newton_solve(state: State, problem: Discretization,
                          config: SolverConfig, cycle: int = 0,
-                         report: Optional[NonlinearReport] = None):
+                         report: Optional[NonlinearReport] = None) -> State:
     """Active-set Newton on the stacked system from the current state.
 
-    Does not mutate ``state``; returns (new_state, ActiveSetReport).  The
-    returned state is the last merit-nonincreasing iterate even on failure.
-    ``report``, if given, takes the outcome, counts the attempt and its
-    Newton and MINRES iterations, and gets one ``newton`` row per residual,
-    the starting one first.
+    Does not mutate ``state``; returns the new state, the last
+    merit-nonincreasing iterate even on failure.  ``report`` (a new one by
+    default) takes the outcome, counts the attempt and its Newton and MINRES
+    iterations, and gets one ``newton`` row per residual, the starting one
+    first.
 
     The boundary rows of ``state.u`` should already satisfy the Dirichlet
     data (run an elastic presolve or an alternate-minimization sweep first):
@@ -361,22 +365,21 @@ def coupled_newton_solve(state: State, problem: Discretization,
     directions computed from boundary-inconsistent states lack the
     boundary-to-interior coupling.
     """
+    report = NonlinearReport() if report is None else report
     mcp = coupled_mcp(state, problem)
     x0 = np.concatenate([state.u, state.alpha])
     x, rep = rsls_solve(mcp, x0, abs_tol=config.outer_atol,
                         max_iterations=MAX_NEWTON_ITERATIONS,
-                        linear_solver=_coupled_linear_solve)
+                        linear_solver=partial(_coupled_linear_solve, report=report))
     out = state.copy()
     out.u = x[:problem.n_udofs]
     out.alpha = x[problem.n_udofs:]
-    if report is not None:
-        report.converged, report.final_residual_norm = rep.converged, rep.final_residual_norm
-        report.newton_attempts += 1
-        report.newton_iterations += rep.iterations
-        report.total_krylov_iterations += rep.total_krylov_iterations
-        report.iterations.extend(Iteration("newton", cycle, k, r)
-                                 for k, r in enumerate(rep.residual_history))
-    return out, rep
+    report.converged, report.final_residual_norm = rep.converged, rep.final_residual_norm
+    report.newton_attempts += 1
+    report.newton_iterations += rep.iterations
+    report.iterations.extend(Iteration("newton", cycle, k, r)
+                             for k, r in enumerate(rep.residual_history))
+    return out
 
 
 def oram_n_solve(state: State, problem: Discretization, config: SolverConfig,
@@ -409,10 +412,9 @@ def oram_n_solve(state: State, problem: Discretization, config: SolverConfig,
             break
 
         e_handoff = report.iterations[-1].total
-        newt_state, nrep = coupled_newton_solve(state, problem, config, cycle=cycle,
-                                                report=report)
+        newt_state = coupled_newton_solve(state, problem, config, cycle=cycle, report=report)
         e_newton = assemble_energy(newt_state, problem).total
-        if nrep.converged and e_newton <= e_handoff + 1e-12 * (1.0 + abs(e_handoff)):
+        if report.converged and e_newton <= e_handoff + 1e-12 * (1.0 + abs(e_handoff)):
             state.u, state.alpha = newt_state.u, newt_state.alpha
             break
 
@@ -437,7 +439,7 @@ def solve_load_step(state: State, problem: Discretization, config: SolverConfig,
         # boundary values instead creates a strain spike whose damage driving
         # force strands the merit line search.
         state.u = elastic_step(state, problem)
-        new_state, _ = coupled_newton_solve(state, problem, config, report=report)
+        new_state = coupled_newton_solve(state, problem, config, report=report)
         state.u, state.alpha = new_state.u, new_state.alpha
         return report
     return am_solve(state, problem, config, report=report)

@@ -15,10 +15,11 @@ that has a bound; rows with none pass F through.  The squared norm of the
 residual is a smooth merit function.
 
 ``rsls_solve`` is a reduced-space active-set Newton method: bound-active
-components with the right residual sign are frozen, a Newton step is computed
-on the inactive block, and a projected line search on the merit accepts the
-step, falling back to (projected) steepest descent on the merit when the
-Newton direction is unavailable or fails to decrease.
+components with the right residual sign are frozen, a linear solver maps
+``(J, inactive, rhs)`` to the Newton direction on the inactive block, and a
+projected line search on the merit accepts the step, falling back to
+(projected) steepest descent on the merit when the Newton direction is
+unavailable or fails to decrease.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .linalg import (LinearSolveReport, LinearSolverError, direct_factorize,
-                     extract_submatrix)
+from .linalg import LinearSolverError, direct_factorize, extract_submatrix
 
 _SQRT2_M1 = 1.0 / np.sqrt(2.0) - 1.0
 #: line search: step factor per backtrack, smallest step tried, Armijo slope fraction
@@ -71,7 +71,6 @@ class ActiveSetReport:
     converged: bool
     final_residual_norm: float
     residual_history: list = field(default_factory=list)
-    total_krylov_iterations: int = 0
     steepest_descent_steps: int = 0
     linear_failures: int = 0
 
@@ -137,8 +136,8 @@ def reduced_direct_solver(J, inactive: np.ndarray, rhs: np.ndarray, lagged=None)
     with ``lagged``, its ``solve`` from zero keyed by the inactive set."""
     sub = extract_submatrix(J, inactive, inactive)
     if lagged is not None:
-        return lagged.solve(sub, rhs, np.zeros_like(rhs), key=inactive), None
-    return direct_factorize(sub).solve(rhs), None
+        return lagged.solve(sub, rhs, np.zeros_like(rhs), key=inactive)
+    return direct_factorize(sub).solve(rhs)
 
 
 def active_set_slack(x: np.ndarray) -> float:
@@ -152,9 +151,13 @@ def rsls_solve(problem: MCProblem, x0: np.ndarray, abs_tol: float = 1e-8,
     """Reduced-space active-set semismooth Newton solve of the MCP.
 
     Stops when ||Phi|| <= ``abs_tol`` or after ``max_iterations``.  Returns
-    (x, ActiveSetReport).  Every iterate is exactly feasible (trial points are
-    clamped to the box); the merit ||Phi||^2 never increases across accepted
-    iterations.  The active-set slack is ``active_set_slack`` of the clamped x0.
+    (x, ActiveSetReport).  ``linear_solver`` (default
+    :func:`reduced_direct_solver`) maps ``(J, inactive, rhs)`` to the solution
+    y of ``J[inactive][:, inactive] y = rhs``; the Newton direction is ``-y``
+    for ``rhs = F[inactive]``.  Every iterate is exactly feasible (trial points
+    are clamped to the box); the merit ||Phi||^2 never increases across
+    accepted iterations.  The active-set slack is ``active_set_slack`` of the
+    clamped x0.
     """
     linear_solver = linear_solver or reduced_direct_solver
     x = np.clip(np.asarray(x0, dtype=float), problem.lower, problem.upper)
@@ -191,10 +194,7 @@ def rsls_solve(problem: MCProblem, x0: np.ndarray, abs_tol: float = 1e-8,
         if part.inactive.size:
             d = np.zeros_like(x)
             try:
-                dN, lin_rep = linear_solver(J, part.inactive, F[part.inactive])
-                d[part.inactive] = -dN
-                if isinstance(lin_rep, LinearSolveReport):
-                    report.total_krylov_iterations += lin_rep.iterations
+                d[part.inactive] = -linear_solver(J, part.inactive, F[part.inactive])
                 accepted = line_search(
                     d, lambda mu: (1.0 - 2.0 * ARMIJO * mu) * merit)
             except (LinearSolverError, np.linalg.LinAlgError):

@@ -47,3 +47,4 @@ def test_retired_names_are_gone():
     assert not hasattr(phasefrac.solver, "Log")
     assert {"energy_history", "newton_residual_histories"}.isdisjoint(
         vars(phasefrac.NonlinearReport()))
+    assert "total_krylov_iterations" not in vars(phasefrac.vi.ActiveSetReport(0, False, 0.0))

@@ -404,5 +404,5 @@ class TestBlockJacobian:
         # one CSR transpose per Jacobian, shared with the preconditioner
         assert J.Bt.format == "csr" and J.Bt is J.Bt
         P = FieldSplitPreconditioner(J, inner_direct(J.A), inner_direct(J.C))
-        assert P._Bt is J.Bt
+        assert P.block is J
 

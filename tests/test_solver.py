@@ -1,5 +1,7 @@
 """Load-step solvers: half-steps, alternate minimization, Newton, composition."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -14,8 +16,8 @@ from phasefrac.fem import (State, apply_dirichlet, assemble_energy, assemble_Kuu
 from phasefrac.linalg import LaggedFactorization
 from phasefrac.model import Material
 from phasefrac.solver import (LAGGED_ATOL_FACTOR, LAGGED_CG_ITERATIONS, MAX_NEWTON_ITERATIONS,
-                              SolverConfig, _inactive_blocks, am_solve, coupled_mcp,
-                              coupled_newton_solve, damage_step, elastic_step,
+                              NonlinearReport, SolverConfig, _inactive_blocks, am_solve,
+                              coupled_mcp, coupled_newton_solve, damage_step, elastic_step,
                               first_order_residual, inactive_block_jacobian, oram_n_solve,
                               residual_norm, solve_load_step)
 from phasefrac.vi import rsls_solve
@@ -407,8 +409,9 @@ class TestResidualAndBlocks:
         blocks = phasefrac.solver._inactive_blocks
         monkeypatch.setattr(phasefrac.solver, "_inactive_blocks",
                             lambda J, inactive: seen.append(inactive) or blocks(J, inactive))
-        _, rep = coupled_newton_solve(state, traction.problem, SolverConfig())
-        assert rep.iterations >= 1
+        report = NonlinearReport()
+        coupled_newton_solve(state, traction.problem, SolverConfig(), report=report)
+        assert report.newton_iterations >= 1
         nu = traction.problem.n_udofs
         assert np.array_equal(seen[0], np.concatenate([iu, nu + ia]))
 
@@ -417,24 +420,26 @@ class TestCoupledNewton:
     def test_no_op_from_converged_state(self, traction):
         state = loaded_state(traction, 0.4)
         am_solve(state, traction.problem, SolverConfig())
-        out, rep = coupled_newton_solve(state, traction.problem, SolverConfig())
-        assert rep.converged
-        assert rep.iterations <= 1
+        report = NonlinearReport()
+        out = coupled_newton_solve(state, traction.problem, SolverConfig(), report=report)
+        assert report.converged
+        assert report.newton_iterations <= 1
         assert np.max(np.abs(out.u - state.u)) <= 1e-9
 
     def test_polishes_loose_am_state(self, traction):
         state = cracking_state(traction)
         am_solve(state, traction.problem, SolverConfig(), rtol=1e-2)
-        out, rep = coupled_newton_solve(state, traction.problem, SolverConfig())
-        assert rep.converged
-        assert rep.final_residual_norm <= 1e-7
+        report = NonlinearReport()
+        out = coupled_newton_solve(state, traction.problem, SolverConfig(), report=report)
+        assert report.converged
+        assert report.final_residual_norm <= 1e-7
         assert residual_norm(out, traction.problem) <= 1e-6
 
     def test_direct_and_fieldsplit_agree(self, traction):
         # reference: the same active-set Newton with a sparse direct solve of
         # the assembled inactive block in place of field-split MINRES
         def direct(J, inactive, rhs):
-            return spla.spsolve(block_csr(J)[inactive][:, inactive].tocsc(), rhs), None
+            return spla.spsolve(block_csr(J)[inactive][:, inactive].tocsc(), rhs)
 
         state = cracking_state(traction)
         am_solve(state, traction.problem, SolverConfig(), rtol=1e-2)
@@ -442,7 +447,8 @@ class TestCoupledNewton:
                                 np.concatenate([state.u, state.alpha]),
                                 abs_tol=SolverConfig().outer_atol,
                                 max_iterations=MAX_NEWTON_ITERATIONS, linear_solver=direct)
-        out_f, rep_f = coupled_newton_solve(state, traction.problem, SolverConfig())
+        rep_f = NonlinearReport()
+        out_f = coupled_newton_solve(state, traction.problem, SolverConfig(), report=rep_f)
         assert rep_d.converged and rep_f.converged
         assert rep_f.total_krylov_iterations > 0
         alpha_d = x_d[traction.problem.n_udofs:]
@@ -452,9 +458,31 @@ class TestCoupledNewton:
     def test_merit_history_nonincreasing(self, traction):
         state = cracking_state(traction)
         am_solve(state, traction.problem, SolverConfig(), rtol=1e-1)
-        _, rep = coupled_newton_solve(state, traction.problem, SolverConfig())
-        hist = np.asarray(rep.residual_history)
+        report = NonlinearReport()
+        coupled_newton_solve(state, traction.problem, SolverConfig(), report=report)
+        hist = np.asarray([r.residual for r in report.iterations if r.phase == "newton"])
+        assert hist.size >= 2
         assert np.all(np.diff(hist) <= 1e-12 * hist[0])
+
+    def test_krylov_count_is_converged_minres_iterations(self, traction, monkeypatch):
+        # the first MINRES solve is reported stalled: Newton falls back to
+        # steepest descent for that step, and its iterations are not counted
+        calls = []
+        minres = phasefrac.solver.minres_solve
+
+        def flaky(*args, **kwargs):
+            x, rep = minres(*args, **kwargs)
+            if not calls:
+                rep = dataclasses.replace(rep, converged=False)
+            calls.append(rep)
+            return x, rep
+
+        monkeypatch.setattr(phasefrac.solver, "minres_solve", flaky)
+        state = cracking_state(traction)
+        report = solve_load_step(state, traction.problem, SolverConfig(method="oram_newton"))
+        assert report.converged and report.newton_iterations > 1 and len(calls) > 1
+        assert not calls[0].converged and calls[0].iterations > 0
+        assert report.total_krylov_iterations == sum(r.iterations for r in calls if r.converged)
 
 
 class TestComposedSolver:
