@@ -274,9 +274,13 @@ class FieldSplitPreconditioner:
         P^-1 = [[A^-1 + A^-1 B C^-1 B^T A^-1, -A^-1 B C^-1],
                 [-C^-1 B^T A^-1,               C^-1        ]]
 
-    applied multiplicatively with one C-solve and two A-solves.  ``inner_a``
-    and ``inner_c`` are callables b -> x.  With linear symmetric inner solves
-    the operator is symmetric (and SPD when A and C are SPD).
+    applied multiplicatively: two A-solves around one C-solve, the second
+    skipped when the C-solve gives 0.  ``inner_a`` and ``inner_c`` are
+    callables b -> x.  With linear symmetric inner solves the operator is
+    symmetric (and SPD when A and C are SPD).  With ``inner_c`` MINRES on
+    ``S = C - B^T A^-1 B`` preconditioned by C, as in the coupled Newton
+    solve, one application solves the block with the iterates of MINRES with
+    P on the whole block started at ``(A^-1 b_u, 0)``.
     """
 
     def __init__(self, block: BlockJacobian, inner_a: Callable, inner_c: Callable):
@@ -288,7 +292,7 @@ class FieldSplitPreconditioner:
         J, nu = self.block, self.block.nu
         y1 = self._inner_a(r[:nu])
         z = self._inner_c(r[nu:] - J.Bt @ y1)
-        xu = y1 - self._inner_a(J.B @ z)
+        xu = y1 - self._inner_a(J.B @ z) if z.any() else y1
         return np.concatenate([xu, z])
 
 

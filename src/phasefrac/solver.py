@@ -35,6 +35,7 @@ from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from .fem import (Discretization, State, apply_dirichlet, assemble_energy,
                   assemble_Kaa, assemble_Kua, assemble_Kuu, assemble_load_u,
@@ -210,7 +211,7 @@ def damage_step(state: State, problem: Discretization, config: SolverConfig,
 
 
 def am_solve(state: State, problem: Discretization, config: SolverConfig,
-             rtol: Optional[float] = None, cycle: int = 0,
+             target: float = 0.0, cycle: int = 0,
              report: Optional[NonlinearReport] = None) -> NonlinearReport:
     """Alternate minimization with over-relaxation; mutates ``state`` in place.
 
@@ -223,11 +224,11 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
     damage block, while the inactive set is unchanged.  A sweep evaluates the
     strains once, and its damage residual is ``Kaa @ alpha + c`` of its system.
 
-    Stops when the optimality norm drops below ``outer_atol``.  When ``rtol``
-    is given (the hand-off phase of the composite method) it may stop earlier,
-    once the norm falls below ``rtol`` times its entry value *and* the damage
-    field has settled: the remaining travel of the damage iterates, estimated
-    from the last two sweep increments assuming linear contraction as
+    Stops when the optimality norm drops below ``outer_atol``.  With a
+    positive ``target`` (the hand-off phase of the composite method) it may
+    stop earlier, once the norm is at most ``target`` *and* the damage field
+    has settled: the remaining travel of the damage iterates, estimated from
+    the last two sweep increments assuming linear contraction as
     ``d_k^2 / (d_{k-1} - d_k)``, must not exceed ``NEWTON_DALPHA``.  While a
     crack front is still advancing the sweeps contract slowly and the estimate
     stays large, preventing a premature hand-off after which Newton would
@@ -238,8 +239,6 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
     """
     report = NonlinearReport() if report is None else report
     impose_dirichlet(state, problem)
-    target = (config.outer_atol if rtol is None
-              else max(rtol * residual_norm(state, problem), config.outer_atol))
     if not report.iterations:
         report.entry_energy = assemble_energy(state, problem).total
 
@@ -273,7 +272,7 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
                                            energy.dissipated, energy.total))
         report.am_iterations += 1
         report.final_residual_norm = res
-        if rtol is None or d_alpha == 0.0:
+        if d_alpha == 0.0:
             settled = True
         elif d_prev is not None and d_alpha < d_prev:
             settled = d_alpha * d_alpha / (d_prev - d_alpha) <= NEWTON_DALPHA
@@ -294,29 +293,37 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
 
 
 def _inactive_blocks(J: BlockJacobian, inactive: np.ndarray):
-    """Rows and columns ``inactive`` (stacked numbering) of ``J``.
+    """Rows and columns ``inactive`` (stacked numbering) of ``J``.  ``coupled_mcp``
+    bounds no displacement dof, so all are inactive and the A block is ``J.A``.
 
     Returns (BlockJacobian, inactive_u_indices, inactive_alpha_indices).
     """
     iu = inactive[inactive < J.nu]
     ia = inactive[inactive >= J.nu] - J.nu
-    # no displacement dof has bounds, so the A block is usually all of J.A
-    A = J.A if iu.size == J.nu else extract_submatrix(J.A, iu, iu)
-    return BlockJacobian(A, extract_submatrix(J.B, iu, ia), extract_submatrix(J.C, ia, ia)), iu, ia
+    return BlockJacobian(J.A, extract_submatrix(J.B, iu, ia), extract_submatrix(J.C, ia, ia)), iu, ia
 
 
 def _coupled_linear_solve(J: BlockJacobian, inactive: np.ndarray, rhs: np.ndarray,
                           report: NonlinearReport) -> np.ndarray:
-    """Field-split MINRES on the inactive block of the stacked Newton system;
-    a converged solve adds its iterations to ``report.total_krylov_iterations``."""
+    """Field-split solve of the inactive block, with MINRES on ``C - B^T A^-1 B``
+    preconditioned by C as its damage solve: exactly field-split MINRES on the
+    whole block started at ``(A^-1 b_u, 0)``, with one A-solve per iteration.
+    Adds a converged solve's iterations to ``report.total_krylov_iterations``."""
     red, _, _ = _inactive_blocks(J, inactive)
-    precond = FieldSplitPreconditioner(red, inner_direct(red.A), inner_direct(red.C))
-    d, rep = minres_solve(red, rhs, precond=precond, rtol=FIELDSPLIT_RTOL)
-    if not rep.converged:
-        raise LinearSolverError(
-            f"field-split MINRES stalled at residual {rep.final_residual_norm:.3e}")
-    report.total_krylov_iterations += rep.iterations
-    return d
+    solve_a, solve_c = inner_direct(red.A), inner_direct(red.C)
+    # dtype given, so that scipy does not probe the operators with a solve
+    schur = spla.LinearOperator(red.C.shape, dtype=float,
+                                matvec=lambda z: red.C @ z - red.Bt @ solve_a(red.B @ z))
+    precond = spla.LinearOperator(red.C.shape, solve_c, dtype=float)
+    def solve_schur(g: np.ndarray) -> np.ndarray:
+        z, rep = minres_solve(schur, g, rtol=FIELDSPLIT_RTOL, precond=precond)
+        if not rep.converged:
+            raise LinearSolverError(
+                f"field-split MINRES stalled at residual {rep.final_residual_norm:.3e}")
+        report.total_krylov_iterations += rep.iterations
+        return z
+
+    return FieldSplitPreconditioner(red, solve_a, solve_schur).matvec(rhs)
 
 
 def coupled_mcp(state: State, problem: Discretization) -> MCProblem:
@@ -402,10 +409,11 @@ def oram_n_solve(state: State, problem: Discretization, config: SolverConfig,
     impose_dirichlet(state, problem)
 
     for cycle in range(MAX_OUTER_CYCLES):
-        if residual_norm(state, problem) <= config.outer_atol:
+        norm = residual_norm(state, problem)
+        if norm <= config.outer_atol:
             break
 
-        am_solve(state, problem, config, rtol=AM_RTOL, cycle=cycle, report=report)
+        am_solve(state, problem, config, target=AM_RTOL * norm, cycle=cycle, report=report)
         if not math.isfinite(report.final_residual_norm):
             break
         if report.final_residual_norm <= config.outer_atol:

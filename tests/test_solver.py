@@ -4,23 +4,26 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import block_csr
+from conftest import block_csr, random_spd
 
 import phasefrac.linalg
 import phasefrac.solver
 from phasefrac.cases import StepFailureError, run_quasistatic, setup_surfing, setup_traction
 from phasefrac.fem import (State, apply_dirichlet, assemble_energy, assemble_Kuu, assemble_load_u,
                            assemble_residual_alpha, impose_dirichlet)
-from phasefrac.linalg import LaggedFactorization
+from phasefrac.linalg import (BlockJacobian, FieldSplitPreconditioner, LaggedFactorization,
+                              LinearSolverError, inner_direct, minres_solve)
 from phasefrac.model import Material
-from phasefrac.solver import (LAGGED_ATOL_FACTOR, LAGGED_CG_ITERATIONS, MAX_NEWTON_ITERATIONS,
-                              NonlinearReport, SolverConfig, _inactive_blocks, am_solve,
+from phasefrac.solver import (FIELDSPLIT_RTOL, LAGGED_ATOL_FACTOR, LAGGED_CG_ITERATIONS,
+                              MAX_NEWTON_ITERATIONS, NonlinearReport, SolverConfig,
+                              _coupled_linear_solve, _inactive_blocks, am_solve,
                               coupled_mcp, coupled_newton_solve, damage_step, elastic_step,
                               first_order_residual, inactive_block_jacobian, oram_n_solve,
                               residual_norm, solve_load_step)
-from phasefrac.vi import rsls_solve
+from phasefrac.vi import classify_active, rsls_solve
 
 MAT = Material(ell=0.1)
 
@@ -388,21 +391,28 @@ class TestResidualAndBlocks:
 
     def test_a_block_is_the_jacobian_block_when_every_u_dof_is_inactive(self, traction):
         state = cracking_state(traction)
-        am_solve(state, traction.problem, SolverConfig(), rtol=0.1)
+        am_solve(state, traction.problem, SolverConfig(),
+                 target=0.1 * residual_norm(state, traction.problem))
         mcp = coupled_mcp(state, traction.problem)
-        J = mcp.jacobian(np.concatenate([state.u, state.alpha]))
+        x = np.concatenate([state.u, state.alpha])
+        J = mcp.jacobian(x)
         nu = traction.problem.n_udofs
+        # no displacement dof has a bound, so none is ever frozen, whatever
+        # the residual's sign and however wide the slack
+        F = np.random.default_rng(3).choice([-1.0, 1.0], x.size)
+        part = classify_active(x, F, mcp.lower, mcp.upper, 1e300)
+        assert np.array_equal(part.inactive[:nu], np.arange(nu))
         inactive = np.concatenate([np.arange(nu), nu + np.arange(0, J.na, 2)])
         red, iu, ia = _inactive_blocks(J, inactive)
         assert red.A is J.A and iu.size == nu
-        red, _, _ = _inactive_blocks(J, inactive[1:])
-        assert red.A is not J.A and red.A.shape == (nu - 1, nu - 1)
+        assert red.C.shape == (ia.size, ia.size) and red.B.shape == (nu, ia.size)
 
     def test_inactive_block_is_newtons_first_system(self, traction, monkeypatch):
         # inactive_block_jacobian and rsls_solve share one active-set slack,
         # so the block studied is the one Newton's first step solves
         state = cracking_state(traction)
-        am_solve(state, traction.problem, SolverConfig(), rtol=0.1)
+        am_solve(state, traction.problem, SolverConfig(),
+                 target=0.1 * residual_norm(state, traction.problem))
         J, iu, ia = inactive_block_jacobian(state, traction.problem)
         assert 0 < ia.size < traction.problem.n_vertices
         seen = []
@@ -428,7 +438,8 @@ class TestCoupledNewton:
 
     def test_polishes_loose_am_state(self, traction):
         state = cracking_state(traction)
-        am_solve(state, traction.problem, SolverConfig(), rtol=1e-2)
+        am_solve(state, traction.problem, SolverConfig(),
+                 target=1e-2 * residual_norm(state, traction.problem))
         report = NonlinearReport()
         out = coupled_newton_solve(state, traction.problem, SolverConfig(), report=report)
         assert report.converged
@@ -442,7 +453,8 @@ class TestCoupledNewton:
             return spla.spsolve(block_csr(J)[inactive][:, inactive].tocsc(), rhs)
 
         state = cracking_state(traction)
-        am_solve(state, traction.problem, SolverConfig(), rtol=1e-2)
+        am_solve(state, traction.problem, SolverConfig(),
+                 target=1e-2 * residual_norm(state, traction.problem))
         x_d, rep_d = rsls_solve(coupled_mcp(state, traction.problem),
                                 np.concatenate([state.u, state.alpha]),
                                 abs_tol=SolverConfig().outer_atol,
@@ -457,7 +469,8 @@ class TestCoupledNewton:
 
     def test_merit_history_nonincreasing(self, traction):
         state = cracking_state(traction)
-        am_solve(state, traction.problem, SolverConfig(), rtol=1e-1)
+        am_solve(state, traction.problem, SolverConfig(),
+                 target=1e-1 * residual_norm(state, traction.problem))
         report = NonlinearReport()
         coupled_newton_solve(state, traction.problem, SolverConfig(), report=report)
         hist = np.asarray([r.residual for r in report.iterations if r.phase == "newton"])
@@ -485,6 +498,109 @@ class TestCoupledNewton:
         assert report.total_krylov_iterations == sum(r.iterations for r in calls if r.converged)
 
 
+def indefinite_schur_block(seed=21, nu=30, na=12):
+    """A random block with SPD A and C whose Schur complement C - B^T A^-1 B
+    is indefinite: C0 is shifted by the mean of the smallest eigenvalues of C0
+    and of C0 - B^T A^-1 B, which then lie on either side of 0."""
+    rng = np.random.default_rng(seed)
+    A, C0 = random_spd(rng, nu), random_spd(rng, na)
+    B = rng.standard_normal((nu, na))
+    lo_c = np.linalg.eigvalsh(C0)[0]
+    lo_s = np.linalg.eigvalsh(C0 - B.T @ np.linalg.solve(A, B))[0]
+    C = C0 - 0.5 * (lo_c + lo_s) * np.eye(na)
+    S = C - B.T @ np.linalg.solve(A, B)
+    assert np.linalg.eigvalsh(C)[0] > 0.0 > np.linalg.eigvalsh(S)[0]
+    return BlockJacobian(sp.csr_matrix(A), sp.csr_matrix(B), sp.csr_matrix(C))
+
+
+@pytest.fixture(scope="module")
+def surfing_block():
+    setup = setup_surfing(h=0.05, n_steps=4)
+    records = run_quasistatic(setup, SolverConfig(method="am", omega=1.6))
+    state = State(records[-1].u, records[-1].alpha, records[-2].alpha)
+    J, iu, ia = inactive_block_jacobian(state, setup.problem)
+    assert iu.size and ia.size
+    return J
+
+
+def fieldsplit_from_displacement_solve(J, b, maxit=None):
+    """Reference: field-split MINRES on the whole block, started at (A^-1 b_u, 0)."""
+    solve_a = inner_direct(J.A)
+    y = solve_a(b[:J.nu])
+    r0 = np.concatenate([np.zeros(J.nu), b[J.nu:] - J.Bt @ y])
+    x, rep = minres_solve(J, r0, precond=FieldSplitPreconditioner(J, solve_a, inner_direct(J.C)),
+                          rtol=FIELDSPLIT_RTOL, maxit=maxit)
+    x[:J.nu] += y
+    return x, rep
+
+
+class TestCoupledLinearSolve:
+    @staticmethod
+    def production(J, b, monkeypatch, maxit=None, inactive=None):
+        """``_coupled_linear_solve`` on ``inactive`` (default: all) of J, with
+        its MINRES report; at ``maxit`` an unconverged solve gives x = None."""
+        reports = []
+
+        def capture(*args, **kwargs):
+            x, rep = minres_solve(*args, **kwargs, maxit=maxit)
+            reports.append(rep)
+            return x, rep
+
+        monkeypatch.setattr(phasefrac.solver, "minres_solve", capture)
+        inactive = np.arange(J.shape[0]) if inactive is None else inactive
+        try:
+            x = _coupled_linear_solve(J, inactive, b, NonlinearReport())
+        except LinearSolverError:
+            x = None
+        return x, reports[0]
+
+    @pytest.mark.parametrize("block", ["indefinite", "surfing"])
+    def test_reproduces_fieldsplit_minres_from_the_displacement_solve(
+            self, block, surfing_block, monkeypatch):
+        J = indefinite_schur_block() if block == "indefinite" else surfing_block
+        b = np.random.default_rng(22).standard_normal(J.shape[0])
+        x_ref, rep_ref = fieldsplit_from_displacement_solve(J, b)
+        x, rep = self.production(J, b, monkeypatch)
+        assert rep_ref.converged and rep.converged and rep.iterations > 0
+        assert abs(rep.iterations - rep_ref.iterations) <= 1
+        assert np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
+        for k in range(1, 6):
+            _, rep_ref = fieldsplit_from_displacement_solve(J, b, maxit=k)
+            _, rep = self.production(J, b, monkeypatch, maxit=k)
+            assert rep.iterations == rep_ref.iterations == k
+            assert rep.final_residual_norm == pytest.approx(rep_ref.final_residual_norm,
+                                                            rel=1e-8)
+
+    @staticmethod
+    def spy_lu_solves(monkeypatch):
+        """The sizes of the LU solves made, in order."""
+        sizes = []
+        solve = phasefrac.linalg.DirectFactorization.solve
+        monkeypatch.setattr(phasefrac.linalg.DirectFactorization, "solve",
+                            lambda self, b: sizes.append(len(b)) or solve(self, b))
+        return sizes
+
+    def test_one_displacement_solve_per_iteration(self, monkeypatch):
+        J = indefinite_schur_block()
+        b = np.random.default_rng(23).standard_normal(J.shape[0])
+        sizes = self.spy_lu_solves(monkeypatch)
+        x, rep = self.production(J, b, monkeypatch)
+        assert rep.converged and rep.iterations > 0
+        assert sizes.count(J.nu) == rep.iterations + 2
+        assert sizes.count(J.na) == rep.iterations + 1
+        assert len(sizes) == 2 * rep.iterations + 3
+        assert np.allclose(block_csr(J) @ x, b, atol=1e-4 * np.linalg.norm(b))
+
+    def test_empty_damage_set_is_one_displacement_solve(self, monkeypatch):
+        J = indefinite_schur_block()
+        b = np.random.default_rng(24).standard_normal(J.nu)
+        sizes = self.spy_lu_solves(monkeypatch)
+        x, rep = self.production(J, b, monkeypatch, inactive=np.arange(J.nu))
+        assert rep.iterations == 0 and rep.converged
+        assert sizes == [J.nu]
+        assert np.allclose(x, np.linalg.solve(J.A.toarray(), b), rtol=1e-12, atol=1e-14)
+
+
 class TestComposedSolver:
     def test_matches_am_in_elastic_regime(self, traction):
         s1 = loaded_state(traction, 0.5)
@@ -508,14 +624,26 @@ class TestComposedSolver:
         # acceptance requires energy <= the AM hand-off energy
         state = cracking_state(traction)
         handoff = cracking_state(traction)
-        am_solve(handoff, traction.problem,
-                 SolverConfig(method="oram_newton"), rtol=1e-1)
+        am_solve(handoff, traction.problem, SolverConfig(method="oram_newton"),
+                 target=1e-1 * residual_norm(handoff, traction.problem))
         e_handoff = assemble_energy(handoff, traction.problem).total
         rep = oram_n_solve(state, traction.problem,
                            SolverConfig(method="oram_newton"))
         e_final = assemble_energy(state, traction.problem).total
         assert e_final <= e_handoff + 1e-10 * (1.0 + abs(e_handoff))
 
+    def test_one_residual_evaluation_at_each_cycle_start(self, traction, monkeypatch):
+        # a one-cycle step evaluates the residual at its start (which also
+        # sets the hand-off target), after every sweep, and at its end
+        calls = []
+        norm = phasefrac.solver.residual_norm
+        monkeypatch.setattr(phasefrac.solver, "residual_norm",
+                            lambda *args, **kwargs: calls.append(1) or norm(*args, **kwargs))
+        report = oram_n_solve(cracking_state(traction), traction.problem,
+                              SolverConfig(method="oram_newton"))
+        assert report.converged and report.newton_attempts == 1
+        assert {r.cycle for r in report.iterations} == {0} and report.am_iterations > 1
+        assert len(calls) == report.am_iterations + 2
 
 class TestDispatch:
     def test_newton_only_matches_am_below_critical(self):
