@@ -7,8 +7,8 @@ residual norms are reported quantities; direct factorization delegates to
 SuperLU, which factors A^T (the CSC view of CSR A) and solves transposed, so
 every solve is of A.  A sequence of nearby SPD systems can reuse one LU as the
 preconditioner of a short CG solve, refactoring only when CG misses its
-iteration budget or the caller's key changes.  The field-split block
-preconditioner inverts its diagonal blocks with one LU each (``inner_direct``).
+iteration budget or the caller's key changes.  Each Newton solve is one field
+split: damage by MINRES on ``C - B^T A^-1 B`` with C's LU, one A-solve per step.
 
 Operators need ``shape`` and ``A @ x``; preconditioners need ``matvec(r)``,
 which applies a fixed SPD approximation of the inverse.

@@ -14,9 +14,9 @@ residual composed through the Fischer-Burmeister function against the bounds
   damage updates that leave the box are backtracked toward the unrelaxed
   update (midpoint rule) until feasible.  With ``omega = 1`` the total energy
   is nonincreasing across iterations.
-* ``coupled_newton_solve`` -- semismooth active-set Newton on the stacked
-  (u, alpha) system; the inactive block is solved by MINRES preconditioned by
-  a multiplicative field split with LU block inverses.
+* ``coupled_newton_solve`` -- semismooth active-set Newton on (u, alpha); one
+  field split per Newton solve, its damage solve MINRES on ``C - B^T A^-1 B``
+  preconditioned by the LU of C, with one A-solve per iteration.
 * ``oram_n_solve`` -- outer cycles that run alternate minimization to a loose
   relative tolerance and then hand over to the coupled Newton solver; a
   failed Newton phase keeps its last (merit-nonincreasing) iterate and

@@ -6,6 +6,7 @@ import phasefrac
 import phasefrac.linalg
 import phasefrac.mesh
 import phasefrac.model
+import phasefrac.solver
 import phasefrac.vi
 
 
@@ -19,6 +20,9 @@ def test_exports_are_the_public_imports():
     public = {n for n in vars(phasefrac) if not n.startswith("_")}
     modules = {"cases", "cli", "fem", "linalg", "mesh", "model", "runio", "solver", "vi"}
     assert public - modules == set(phasefrac.__all__) - {"__version__"}
+    assert set(phasefrac.__all__) == {"__version__", "Material", "SolverConfig",
+                                      "run_quasistatic", "setup_surfing",
+                                      "setup_thermal_shock", "setup_traction"}
 
 
 def test_retired_names_are_gone():
@@ -46,5 +50,5 @@ def test_retired_names_are_gone():
     assert not hasattr(phasefrac.vi, "mcp_residual")
     assert not hasattr(phasefrac.solver, "Log")
     assert {"energy_history", "newton_residual_histories"}.isdisjoint(
-        vars(phasefrac.NonlinearReport()))
+        vars(phasefrac.solver.NonlinearReport()))
     assert "total_krylov_iterations" not in vars(phasefrac.vi.ActiveSetReport(0, False, 0.0))

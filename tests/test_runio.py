@@ -82,6 +82,12 @@ class TestParsing:
         cfg = parse_config(minimal)
         assert cfg.name == "traction" and cfg.ell == 0.1
 
+    def test_readme_python_example_runs(self, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(example, "README.md", "exec"), {})
+        assert "dissipated=" in capsys.readouterr().out
+
     def test_readme_grammar_lists_every_key(self):
         # the grammar block is not INI: take the names left of "=", split on ","
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
