@@ -11,9 +11,9 @@ The package provides
 * structured triangle meshes of rectangles, optionally band-refined (``mesh``);
 * material data and closed-form critical loads (``model``);
 * linear P1 assembly of energies, residuals, and Hessian blocks (``fem``);
-* hand-rolled MINRES, SuperLU, CG on a lagged LU, and a field split applied
-  once per Newton solve, its damage solve MINRES on ``C - B^T A^-1 B`` with
-  the LU of C as preconditioner and one A-solve per iteration (``linalg``);
+* hand-rolled MINRES, banded Cholesky, CG on a lagged factor, and a field
+  split applied once per Newton solve, its damage solve MINRES on
+  ``C - B^T A^-1 B`` preconditioned by C, one A-solve per iteration (``linalg``);
 * a reduced-space active-set semismooth Newton solver for box-constrained
   systems (``vi``);
 * alternate minimization with over-relaxation, optionally composed with a

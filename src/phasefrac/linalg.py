@@ -1,14 +1,14 @@
-"""Sparse linear algebra kernels: MINRES, direct solves, lagged-LU CG, block
+"""Sparse linear algebra kernels: MINRES, direct solves, lagged-factor CG, block
 preconditioner.
 
 Matrices are scipy CSR (compressed-row storage with sorted, duplicate-free
 indices).  MINRES is written out longhand because its iteration counts and
-residual norms are reported quantities; direct factorization delegates to
-SuperLU, which factors A^T (the CSC view of CSR A) and solves transposed, so
-every solve is of A.  A sequence of nearby SPD systems can reuse one LU as the
-preconditioner of a short CG solve, refactoring only when CG misses its
-iteration budget or the caller's key changes.  Each Newton solve is one field
-split: damage by MINRES on ``C - B^T A^-1 B`` with C's LU, one A-solve per step.
+residual norms are reported quantities; direct factorization is LAPACK's
+banded Cholesky, which the grid's numbering (see ``mesh``) keeps narrow.  A
+sequence of nearby SPD systems can reuse one factor as the preconditioner of a
+short CG solve, refactoring only when CG misses its iteration budget or the
+caller's key changes.  Each Newton solve is one field split: damage by MINRES
+on ``C - B^T A^-1 B`` with C's factor, one A-solve per step.
 
 Operators need ``shape`` and ``A @ x``; preconditioners need ``matvec(r)``,
 which applies a fixed SPD approximation of the inverse.
@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 
 class LinearSolverError(Exception):
@@ -34,7 +35,7 @@ class BreakdownError(LinearSolverError):
 
 
 class SingularOperatorError(LinearSolverError):
-    """Exact zero pivot, or a non-finite entry, in a matrix to factorize."""
+    """Nonpositive pivot, or a non-finite entry, in a matrix to factorize."""
 
 
 @dataclass
@@ -155,34 +156,38 @@ def minres_solve(A, b: np.ndarray, precond=None, rtol: float = 1e-8,
 
 
 class DirectFactorization:
-    """SuperLU factor of A^T (``_lu``); ``solve(b)`` solves A x = b through
-    SuperLU's transposed path, the faster one on these factors."""
+    """Cholesky factor A = U^T U of a band matrix, U in LAPACK upper band
+    storage (``band[b + i - j, j] = U[i, j]``, b the half-bandwidth)."""
 
-    def __init__(self, lu):
-        self._lu = lu
+    def __init__(self, band: np.ndarray):
+        self.band = band
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return self._lu.solve(np.asarray(b, dtype=float), trans="T")
+        return dpbtrs(self.band, b)[0]
+
+    @property
+    def _lu(self) -> SimpleNamespace:
+        """U and L = U^T as sparse views of the band (perfbench counts their entries)."""
+        n = self.band.shape[1]
+        U = sp.dia_matrix((self.band, np.arange(len(self.band))[::-1]), shape=(n, n))
+        return SimpleNamespace(U=U, L=U.T)
 
 
 def direct_factorize(A) -> DirectFactorization:
-    """Sparse LU of a symmetric positive definite matrix; an exact zero pivot
-    or a non-finite entry raises.
-
-    SuperLU runs in symmetric mode (minimum degree on A^T + A, pivots taken
-    on the diagonal), which keeps the symmetric structure and roughly halves
-    the fill of partial pivoting.  It factors A^T, the CSC view of A as CSR
-    (a CSR input is not copied).
-    """
-    At = sp.csr_matrix(A).T
-    if not np.all(np.isfinite(At.data)):
+    """Banded Cholesky factor of a symmetric positive definite matrix, read from
+    its upper triangle (half-bandwidth b: n (b + 1) values, about n b^2 flops);
+    a nonpositive pivot or a non-finite entry raises."""
+    A = sp.csr_matrix(A)
+    if not np.all(np.isfinite(A.data)):
         raise SingularOperatorError("non-finite entry in the matrix to factorize")
-    try:
-        lu = spla.splu(At, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise SingularOperatorError(f"singular matrix in LU factorization: {exc}") from exc
-    return DirectFactorization(lu)
+    offset = A.indices - np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    upper, b = np.flatnonzero(offset >= 0), int(offset.max(initial=0))
+    band = np.zeros((A.shape[0], b + 1))   # row j: column j of LAPACK's Fortran-ordered band
+    band[A.indices[upper], b - offset[upper]] = A.data[upper]
+    U, info = dpbtrf(band.T, overwrite_ab=1)
+    if info > 0:
+        raise SingularOperatorError(f"nonpositive pivot in column {info} of the Cholesky factor")
+    return DirectFactorization(U)
 
 
 def _pcg(A, b: np.ndarray, x0: np.ndarray, precond: Callable, atol: float,
@@ -217,7 +222,7 @@ def _pcg(A, b: np.ndarray, x0: np.ndarray, precond: Callable, atol: float,
 
 
 class LaggedFactorization:
-    """Solves a sequence of nearby SPD systems with the LU of an earlier one.
+    """Solves a sequence of nearby SPD systems with the factor of an earlier one.
 
     ``solve`` runs CG preconditioned by the held factorization, started from
     the caller's guess.  If CG has not reached ``atol`` (absolute, on the
@@ -297,9 +302,8 @@ class FieldSplitPreconditioner:
 
 
 def inner_direct(M) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact inner solver: one LU factorization, reused per application."""
+    """Exact inner solver: one Cholesky factorization, reused per application."""
     if M.shape[0] == 0:
         return lambda b: np.zeros(0)
-    fact = direct_factorize(M)
-    return fact.solve
+    return direct_factorize(M).solve
 

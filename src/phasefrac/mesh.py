@@ -1,9 +1,10 @@
 """Structured triangulations of rectangles, with an optional refined band.
 
-Vertices are numbered column-major: vertex (i, j) of an (nx+1) x (ny+1) grid
-gets index ``i*(ny+1) + j``.  Each grid cell is split into two triangles along
-alternating diagonals (union-jack parity) so the mesh carries no preferred
-direction.  Triangles are counter-clockwise.
+Vertices are numbered across the shorter side first, which keeps the band of
+the stiffness matrices narrow: vertex (i, j) of an (nx+1) x (ny+1) grid gets
+index ``i*(ny+1) + j``, or ``j*(nx+1) + i`` when ny > nx.  Each grid cell is
+split into two triangles along alternating diagonals (union-jack parity) so
+the mesh carries no preferred direction.  Triangles are counter-clockwise.
 
 Displacement unknowns are interleaved per vertex (``2*v`` for the x1
 component, ``2*v + 1`` for x2); the damage field has one unknown per vertex.
@@ -55,11 +56,12 @@ def _grid(x_levels: np.ndarray, y_levels: np.ndarray) -> Mesh:
     """Tensor grid of the given level sets, union-jack triangulation."""
     nx = len(x_levels) - 1
     ny = len(y_levels) - 1
-    X, Y = np.meshgrid(x_levels, y_levels, indexing="ij")
+    by_column = nx >= ny
+    X, Y = np.meshgrid(x_levels, y_levels, indexing="ij" if by_column else "xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
     def vid(i, j):
-        return i * (ny + 1) + j
+        return i * (ny + 1) + j if by_column else j * (nx + 1) + i
 
     I, J = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     I = I.ravel()

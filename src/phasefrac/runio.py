@@ -434,14 +434,8 @@ def sweep(spec: SweepSpec, threads: int = 1,
     else:
         rows = [_sweep_row(job) for job in jobs]
 
-    ref = None
-    if spec.parameter == "omega":
-        for row in rows:
-            if row["value"] == 1.0 and row["status"] == "ok":
-                ref = row
-                break
-    if ref is None:
-        ref = rows[0]
+    ref = next((row for row in rows if spec.parameter == "omega" and row["value"] == 1.0
+                and row["status"] == "ok"), rows[0])
     ref_am = ref["total_am_iters"]
     for row in rows:   # every row starts with reduction 0.0
         if ref["status"] == "ok" and row["status"] == "ok" and ref_am > 0:

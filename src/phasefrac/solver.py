@@ -9,14 +9,14 @@ residual composed through the Fischer-Burmeister function against the bounds
 * ``am_solve`` -- alternate minimization: linear solve in u at fixed alpha,
   then a bound-constrained damage solve at fixed u, with optional
   over-relaxation ``omega`` of both half-step increments.  Both blocks are
-  solved by CG on the last LU of the call (the damage LU only for the same
+  solved by CG on the last factor of the call (the damage one only for the same
   inactive set), refactored when CG misses its budget.  Over-relaxed
   damage updates that leave the box are backtracked toward the unrelaxed
   update (midpoint rule) until feasible.  With ``omega = 1`` the total energy
   is nonincreasing across iterations.
 * ``coupled_newton_solve`` -- semismooth active-set Newton on (u, alpha); one
   field split per Newton solve, its damage solve MINRES on ``C - B^T A^-1 B``
-  preconditioned by the LU of C, with one A-solve per iteration.
+  preconditioned by the factor of C, with one A-solve per iteration.
 * ``oram_n_solve`` -- outer cycles that run alternate minimization to a loose
   relative tolerance and then hand over to the coupled Newton solver; a
   failed Newton phase keeps its last (merit-nonincreasing) iterate and
@@ -59,10 +59,10 @@ MAX_OUTER_CYCLES = 20
 FIELDSPLIT_RTOL = 1e-6
 #: damage subproblem tolerance, as a fraction of ``outer_atol``
 DAMAGE_ATOL_FACTOR = 0.1
-#: CG tolerance of the lagged-LU solves of both blocks inside alternate minimization,
+#: CG tolerance of the lagged-factor solves of both blocks inside alternate minimization,
 #: as a fraction of ``outer_atol``; looser tolerances move the final energies by more than 1e-10
 LAGGED_ATOL_FACTOR = 1e-4
-#: CG iterations on a lagged LU before the block is refactored
+#: CG iterations on a lagged factor before the block is refactored
 LAGGED_CG_ITERATIONS = 5
 MAX_VI_ITERATIONS = 200
 #: largest estimated remaining damage travel at a Newton hand-off
@@ -84,7 +84,7 @@ class SolverConfig:
     omega: float = 1.0               # relaxation weight, required to lie in (0, 2)
     outer_atol: float = 1e-7         # absolute l2 tolerance on the optimality residual
     max_am_iterations: int = 1000
-    # one value each (field-split MINRES, LU block inverses); kept for existing configs
+    # one value each (field-split MINRES, Cholesky block inverses); kept for existing configs
     coupled: str = field(default="fieldsplit", metadata=_LINEAR)
     fieldsplit_inner: str = field(default="direct", metadata=_LINEAR)
 
@@ -126,8 +126,8 @@ class NonlinearReport:
     newton_iterations: int = 0
     newton_attempts: int = 0
     total_krylov_iterations: int = 0   # MINRES iterations of the coupled Newton solves
-    elastic_factorizations: int = 0    # LUs of the elastic block in the AM sweeps
-    damage_factorizations: int = 0     # LUs of inactive damage blocks in the AM sweeps
+    elastic_factorizations: int = 0    # factors of the elastic block in the AM sweeps
+    damage_factorizations: int = 0     # factors of inactive damage blocks in the AM sweeps
     entry_energy: float = np.nan       # total energy where the first AM phase started
     iterations: list = field(default_factory=list)   # Iteration rows, in order
 
@@ -166,8 +166,8 @@ def elastic_step(state: State, problem: Discretization,
                  lagged: Optional[LaggedFactorization] = None) -> np.ndarray:
     """Minimize the energy in u at fixed alpha.
 
-    Without ``lagged`` this is one sparse LU solve.  With it, CG started from
-    ``state.u`` and preconditioned by the held LU solves the system to
+    Without ``lagged`` this is one Cholesky solve.  With it, CG started from
+    ``state.u`` and preconditioned by the held factor solves the system to
     ``lagged.atol``, and a budget miss refactors (see
     :class:`~phasefrac.linalg.LaggedFactorization`).  Either way the
     Dirichlet rows of the returned u hold the boundary data exactly when

@@ -132,7 +132,7 @@ def _merit_gradient(x, F, phi, J, lower, upper) -> np.ndarray:
 
 
 def reduced_direct_solver(J, inactive: np.ndarray, rhs: np.ndarray, lagged=None):
-    """Default inner solver: LU on the inactive submatrix of a CSR Jacobian, or
+    """Default inner solver: Cholesky on the inactive submatrix of a CSR Jacobian, or
     with ``lagged``, its ``solve`` from zero keyed by the inactive set."""
     sub = extract_submatrix(J, inactive, inactive)
     if lagged is not None:

@@ -122,7 +122,6 @@ class TestDirect:
             direct_factorize(A.tocsr())
 
     def test_csr_spd_matrix_matches_spsolve(self):
-        # a CSR matrix goes to SuperLU as the CSC view of its transpose
         rng = np.random.default_rng(41)
         A = (laplacian_2d(12) + sp.diags(rng.uniform(0.1, 1.0, 144))).tocsr()
         A = (A + sp.csr_matrix(random_spd(rng, 144, shift=200.0)) * 1e-3).tocsr()
@@ -132,35 +131,35 @@ class TestDirect:
         assert np.allclose(x, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
     @pytest.mark.parametrize("form", ["csr", "csc", "dense"])
-    def test_solves_A_not_its_transpose(self, form):
-        # nonsymmetric values on a symmetric pattern, diagonally dominant so
-        # that diagonal pivots are safe
+    def test_reads_only_the_upper_triangle(self, form):
+        # the factor is that of the symmetric matrix with A's upper triangle,
+        # whatever the strictly lower triangle holds
         rng = np.random.default_rng(42)
-        L = laplacian_2d(8)
-        A = (L + sp.triu(L, 1).multiply(rng.uniform(0.2, 0.8, L.shape))).tocsr()
-        A.setdiag(A.diagonal() + 4.0)
+        A = laplacian_2d(8) + 4.0 * sp.eye(64)
+        skewed = (A + sp.tril(A, -1).multiply(rng.uniform(0.2, 0.8, A.shape))).tocsr()
         b = rng.standard_normal(A.shape[0])
-        M = {"csr": A, "csc": A.tocsc(), "dense": A.toarray()}[form]
+        M = {"csr": skewed, "csc": skewed.tocsc(), "dense": skewed.toarray()}[form]
         x = direct_factorize(M).solve(b)
         assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
-        if form == "csr":
-            xt = spla.spsolve(A.T.tocsc(), b)
-            assert np.linalg.norm(x - xt) > 1e-3 * np.linalg.norm(xt)
+        assert np.array_equal(x, direct_factorize(A).solve(b))
 
-    def test_spd_fill_not_above_partial_pivoting_on_surfing_block(self):
+    def test_indefinite_matrix_raises(self):
+        # a symmetric matrix with a negative eigenvalue has no Cholesky factor
+        with pytest.raises(SingularOperatorError, match="nonpositive pivot"):
+            direct_factorize(sp.diags([1.0, -1.0, 1.0]).tocsr())
+
+    def test_surfing_block_is_factored_in_its_grid_band(self):
         setup = setup_surfing(n_steps=2)
         state = State.zeros(setup.mesh)
         setup.apply_load(setup.problem, state, 0.0)
         K = assemble_Kuu(state, setup.problem, apply_bc=True)
-
-        def fill(lu):
-            return lu.L.nnz + lu.U.nnz
-
-        # scipy's defaults: partial pivoting with a COLAMD ordering
-        spd, pivoted = direct_factorize(K), spla.splu(sp.csc_matrix(K))
-        assert fill(spd._lu) <= fill(pivoted)
+        # vertex (i, j) couples to (i + 1, j + 1), ny + 2 vertices on; two dofs each
+        ny = np.unique(setup.mesh.vertices[:, 1]).size - 1
+        factor = direct_factorize(K)
+        assert factor.band.shape == (2 * (ny + 2) + 2, K.shape[0])
+        assert factor.band.shape[0] - 1 == 73
         b = np.ones(K.shape[0])
-        assert np.linalg.norm(b - K @ spd.solve(b)) <= 1e-10 * np.linalg.norm(b)
+        assert np.linalg.norm(b - K @ factor.solve(b)) <= 1e-10 * np.linalg.norm(b)
 
 
 class TestLaggedFactorization:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from phasefrac.fem import Discretization
+from phasefrac.fem import Discretization, State, assemble_Kuu
 from phasefrac.mesh import banded_rect_mesh, boundary_dofs, rect_mesh
 from phasefrac.model import Material
 
@@ -48,6 +48,20 @@ def test_invalid_dimensions_rejected():
         rect_mesh(0.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         rect_mesh(1.0, 1.0, -0.5)
+
+
+def test_tall_rectangle_keeps_the_wide_band():
+    # numbered across the shorter side first, 4 x 10 has the elastic
+    # half-bandwidth of 10 x 4: 2 (ny + 2) + 1 with ny = 16 rows of cells
+    def half_bandwidth(mesh):
+        K = assemble_Kuu(State.zeros(mesh), Discretization(mesh, Material()), apply_bc=False)
+        return int(np.max(K.indices - np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))))
+
+    wide, tall = rect_mesh(10.0, 4.0, 0.25), rect_mesh(4.0, 10.0, 0.25)
+    assert half_bandwidth(wide) == half_bandwidth(tall) == 37
+    assert Discretization(tall, Material()).area.min() > 0.0
+    assert np.all(tall.vertices[tall.boundary_vertices("top"), 1] == 10.0)
+    assert np.all(tall.vertices[tall.boundary_vertices("right"), 0] == 4.0)
 
 
 class TestBandedMesh:

@@ -338,6 +338,14 @@ class TestRSLS:
         _, rep = rsls_solve(p, np.full(n, 0.25), max_iterations=2)
         assert rep.linear_failures >= 1
 
+    def test_indefinite_jacobian_is_a_linear_failure(self):
+        # the Cholesky factor meets a negative pivot on the inactive block
+        H = sp.diags([1.0, -1.0, 1.0]).tocsr()
+        p = MCProblem(residual=lambda x: H @ x - 0.5, jacobian=lambda x: H,
+                      lower=np.zeros(3), upper=np.ones(3))
+        _, rep = rsls_solve(p, np.full(3, 0.25), max_iterations=2)
+        assert rep.linear_failures >= 1
+
     def test_config_knobs_respected(self):
         p = qp_problem(np.eye(1), np.array([-2.0]), [0.0], [np.inf])
         _, rep = rsls_solve(p, np.array([0.0]), max_iterations=1)
