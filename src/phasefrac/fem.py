@@ -317,10 +317,11 @@ def assemble_Kuu(state: State, problem: Discretization, apply_bc: bool = True) -
     return K
 
 
-def assemble_Kua(state: State, problem: Discretization, apply_bc: bool = True) -> sp.csr_matrix:
+def assemble_Kua(state: State, problem: Discretization, apply_bc: bool = True,
+                 strains=None) -> sp.csr_matrix:
     """Mixed block d(residual_u)/d(alpha); Dirichlet rows dropped."""
     _, ap, _ = degradation(problem.Mg @ state.alpha, problem.material.k_ell)
-    sig, _ = element_strains(state, problem)
+    sig, _ = element_strains(state, problem) if strains is None else strains
     v = (ap * problem.area / 3.0)[:, None] * np.einsum("eik,ei->ek", problem.B, sig)
     pat, data = problem.pattern("ua"), np.repeat(v, 3)  # identical columns per node
     K = pat.matrix(np.bincount(pat.slots, weights=data, minlength=pat.nnz))

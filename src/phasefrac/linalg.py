@@ -5,10 +5,13 @@ Matrices are scipy CSR (compressed-row storage with sorted, duplicate-free
 indices).  MINRES is written out longhand because its iteration counts and
 residual norms are reported quantities; direct factorization is LAPACK's
 banded Cholesky, which the grid's numbering (see ``mesh``) keeps narrow.  A
-sequence of nearby SPD systems can reuse one factor as the preconditioner of a
-short CG solve, refactoring only when CG misses its iteration budget or the
-caller's key changes.  Each Newton solve is one field split: damage by MINRES
-on ``C - B^T A^-1 B`` with C's factor, one A-solve per step.
+factor may eliminate the dofs in reverse order, may be refactored in place
+from the first row where its matrix changed, and solves on its trailing rows
+alone a right-hand side that vanishes before them.  A sequence of nearby SPD
+systems can reuse one factor as the preconditioner of a short CG solve,
+refactoring only when CG misses its iteration budget or the caller's key
+changes.  Each Newton solve is one field split: damage by MINRES on
+``C - B^T A^-1 B`` with C's factor, one A-solve per step.
 
 Operators need ``shape`` and ``A @ x``; preconditioners need ``matvec(r)``,
 which applies a fixed SPD approximation of the inverse.
@@ -156,14 +159,26 @@ def minres_solve(A, b: np.ndarray, precond=None, rtol: float = 1e-8,
 
 
 class DirectFactorization:
-    """Cholesky factor A = U^T U of a band matrix, U in LAPACK upper band
-    storage (``band[b + i - j, j] = U[i, j]``, b the half-bandwidth)."""
+    """Cholesky factor P A P^T = U^T U of a band matrix, P the identity or, with
+    ``flip``, the reversal of the dofs; U in LAPACK upper band storage
+    (``band[b + i - j, j] = U[i, j]``, b the half-bandwidth).  ``A`` is the
+    matrix factored, unmodified, which ``direct_factorize(..., last=self)``
+    compares with."""
 
-    def __init__(self, band: np.ndarray):
-        self.band = band
+    def __init__(self, band: np.ndarray, A: sp.csr_matrix, flip: bool):
+        self.band, self.A, self.flip = band, A, flip
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return dpbtrs(self.band, b)[0]
+    def solve(self, b: np.ndarray, start: int = 0) -> np.ndarray:
+        """A^-1 b.  With ``start > 0`` only the rows from ``start`` (in elimination
+        order) are solved, exactly when b vanishes before them: the solve runs on
+        the band from b rows earlier, where each row's band segment is the full
+        solve's, so those rows equal the full solve's bit for bit (earlier rows are 0)."""
+        if self.flip:
+            b = b[::-1]
+        s = max(start + 1 - len(self.band), 0)
+        x = dpbtrs(self.band[:, s:], b[s:])[0]
+        x = np.concatenate([np.zeros(s), x]) if s else x
+        return x[::-1] if self.flip else x
 
     @property
     def _lu(self) -> SimpleNamespace:
@@ -173,21 +188,56 @@ class DirectFactorization:
         return SimpleNamespace(U=U, L=U.T)
 
 
-def direct_factorize(A) -> DirectFactorization:
+def direct_factorize(A, last: Optional[DirectFactorization] = None,
+                     flip: bool = False) -> DirectFactorization:
     """Banded Cholesky factor of a symmetric positive definite matrix, read from
     its upper triangle (half-bandwidth b: n (b + 1) values, about n b^2 flops);
-    a nonpositive pivot or a non-finite entry raises."""
+    a nonpositive pivot or a non-finite entry raises.
+
+    ``flip`` eliminates the dofs in reverse order.  ``last``, a factor of an
+    earlier matrix with the same ``indptr`` and ``indices``, is consumed: the new
+    factor keeps its orientation and its band, and the rows of U before A's first
+    changed row ``keep`` (in elimination order) stay.  They couple to the rest
+    only through W = U[keep - b:keep, keep:keep + b], so the trailing block is
+    factored in place as A22 - W^T W (Davis & Hager, SIAM J. Matrix Anal. Appl.
+    20, 1999); an unchanged matrix returns ``last``.  A fresh factor is the
+    ``keep = 0`` case.  After a raise, ``last`` may hold a half-overwritten band.
+    """
     A = sp.csr_matrix(A)
     if not np.all(np.isfinite(A.data)):
         raise SingularOperatorError("non-finite entry in the matrix to factorize")
-    offset = A.indices - np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    upper, b = np.flatnonzero(offset >= 0), int(offset.max(initial=0))
-    band = np.zeros((A.shape[0], b + 1))   # row j: column j of LAPACK's Fortran-ordered band
-    band[A.indices[upper], b - offset[upper]] = A.data[upper]
-    U, info = dpbtrf(band.T, overwrite_ab=1)
+    n = A.shape[0]
+    row = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    offset = A.indices - row
+    b = int(offset.max(initial=0))
+    if last is not None and not (np.array_equal(A.indptr, last.A.indptr)
+                                 and np.array_equal(A.indices, last.A.indices)):
+        last = None   # released before a new band is allocated
+    flip = flip if last is None else last.flip
+    p = n - 1 - A.indices if flip else row   # the row of U an upper entry lands in
+    if last is None:
+        keep, band, W = 0, np.zeros((b + 1, n), order="F"), np.zeros((0, 0))
+    else:
+        changed = (offset >= 0) & (A.data != last.A.data)
+        if not changed.any():
+            return last
+        keep, band = int(p[changed].min()), last.band
+        h, m = min(b, keep), min(b, n - keep)
+        i, j = np.tril_indices(h, b - h, m)   # W[i, j] = U[keep - h + i, keep + j]
+        W = np.zeros((h, m))
+        W[i, j] = band[b - h + i - j, keep + j]
+        band[:, keep:] = 0.0
+        band[b - h + i - j, keep + j] = W[i, j]
+    new = np.flatnonzero((offset >= 0) & (p >= keep))
+    o = offset[new]
+    band[b - o, p[new] + o] = A.data[new]
+    k, l = np.triu_indices(W.shape[1])
+    band[b + k - l, keep + l] -= (W.T @ W)[k, l]
+    info = dpbtrf(band[:, keep:], overwrite_ab=1)[1]
     if info > 0:
-        raise SingularOperatorError(f"nonpositive pivot in column {info} of the Cholesky factor")
-    return DirectFactorization(U)
+        raise SingularOperatorError(
+            f"nonpositive pivot in column {keep + info} of the Cholesky factor")
+    return DirectFactorization(band, A, flip)
 
 
 def _pcg(A, b: np.ndarray, x0: np.ndarray, precond: Callable, atol: float,

@@ -302,17 +302,23 @@ def write_iterations_csv(path: Path, reports: dict) -> None:
                                          for it in report.iterations))
 
 
-def write_vtk(path: Path, mesh, alpha: np.ndarray, u: np.ndarray,
-              title: str = "snapshot") -> None:
-    """Legacy ASCII VTK unstructured grid with damage and displacement."""
-    n = mesh.n_vertices
+def vtk_grid(mesh) -> str:
+    """The POINTS, CELLS and CELL_TYPES sections of a legacy VTK file of ``mesh``."""
     T = mesh.n_triangles
-    _write_text(path, "".join([
-        f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n",
-        f"POINTS {n} double\n", *(f"{x!r} {y!r} 0.0\n" for x, y in mesh.vertices.tolist()),
+    return "".join([
+        f"POINTS {mesh.n_vertices} double\n",
+        *(f"{x!r} {y!r} 0.0\n" for x, y in mesh.vertices.tolist()),
         f"CELLS {T} {4 * T}\n", *(f"3 {a} {b} {c}\n" for a, b, c in mesh.triangles.tolist()),
-        f"CELL_TYPES {T}\n", "5\n" * T,
-        f"POINT_DATA {n}\nSCALARS alpha double 1\nLOOKUP_TABLE default\n",
+        f"CELL_TYPES {T}\n", "5\n" * T])
+
+
+def write_vtk(path: Path, grid: str, alpha: np.ndarray, u: np.ndarray,
+              title: str = "snapshot") -> None:
+    """Legacy ASCII VTK unstructured grid with damage and displacement; ``grid``
+    is :func:`vtk_grid` of the mesh, formatted once for every snapshot of a run."""
+    _write_text(path, "".join([
+        f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n", grid,
+        f"POINT_DATA {alpha.size}\nSCALARS alpha double 1\nLOOKUP_TABLE default\n",
         *(f"{v!r}\n" for v in alpha.tolist()),
         "VECTORS displacement double\n",
         *(f"{x!r} {y!r} 0.0\n" for x, y in u.reshape(-1, 2).tolist())]))
@@ -350,10 +356,11 @@ def _execute(cfg: RunConfig):
     write_provenance(out / "provenance.txt", cfg, setup)
     write_energies_csv(out / "energies.csv", records)
     write_iterations_csv(out / "iterations.csv", reports)
-    for rec in records:
-        if rec.alpha is not None:
-            write_vtk(out / f"step_{rec.step:04d}.vtk", setup.mesh,
-                      rec.alpha, rec.u, title=f"{setup.name} step {rec.step}")
+    snapshots = [rec for rec in records if rec.alpha is not None]
+    grid = vtk_grid(setup.mesh) if snapshots else ""
+    for rec in snapshots:
+        write_vtk(out / f"step_{rec.step:04d}.vtk", grid, rec.alpha, rec.u,
+                  title=f"{setup.name} step {rec.step}")
     if error is not None:
         _write_text(out / "FAILED.txt", f"{error}\n")
     return records, error

@@ -16,7 +16,9 @@ residual composed through the Fischer-Burmeister function against the bounds
   is nonincreasing across iterations.
 * ``coupled_newton_solve`` -- semismooth active-set Newton on (u, alpha); one
   field split per Newton solve, its damage solve MINRES on ``C - B^T A^-1 B``
-  preconditioned by the factor of C, with one A-solve per iteration.
+  preconditioned by the factor of C, with one A-solve per iteration.  The
+  factor of A is kept from step to step and refactored from its first
+  changed row.
 * ``oram_n_solve`` -- outer cycles that run alternate minimization to a loose
   relative tolerance and then hand over to the coupled Newton solver; a
   failed Newton phase keeps its last (merit-nonincreasing) iterate and
@@ -304,16 +306,30 @@ def _inactive_blocks(J: BlockJacobian, inactive: np.ndarray):
 
 
 def _coupled_linear_solve(J: BlockJacobian, inactive: np.ndarray, rhs: np.ndarray,
-                          report: NonlinearReport) -> np.ndarray:
+                          report: NonlinearReport, held: Optional[list] = None) -> np.ndarray:
     """Field-split solve of the inactive block, with MINRES on ``C - B^T A^-1 B``
     preconditioned by C as its damage solve: exactly field-split MINRES on the
     whole block started at ``(A^-1 b_u, 0)``, with one A-solve per iteration.
-    Adds a converged solve's iterations to ``report.total_krylov_iterations``."""
+    Adds a converged solve's iterations to ``report.total_krylov_iterations``.
+
+    ``held`` (a list of at most one factor) carries the factor of A from one
+    call to the next, refactored from A's first changed row on and emptied
+    while that runs.  A fresh factor eliminates last the displacement rows
+    that B couples to the damage, and the A-solves inside the Schur product
+    solve only from the first of them: ``B z`` vanishes before it, and ``B^T``
+    reads nothing else."""
     red, _, _ = _inactive_blocks(J, inactive)
-    solve_a, solve_c = inner_direct(red.A), inner_direct(red.C)
+    held = [] if held is None else held
+    reach, n = np.flatnonzero(np.diff(red.B.indptr)), red.nu
+    factor = direct_factorize(red.A, held.pop() if held else None,
+                              flip=reach.size > 0 and reach[0] < n - 1 - reach[-1])
+    held.append(factor)
+    start = int((n - 1 - reach if factor.flip else reach).min(initial=n))
+    solve_c = inner_direct(red.C)
     # dtype given, so that scipy does not probe the operators with a solve
-    schur = spla.LinearOperator(red.C.shape, dtype=float,
-                                matvec=lambda z: red.C @ z - red.Bt @ solve_a(red.B @ z))
+    schur = spla.LinearOperator(
+        red.C.shape, dtype=float,
+        matvec=lambda z: red.C @ z - red.Bt @ factor.solve(red.B @ z, start))
     precond = spla.LinearOperator(red.C.shape, solve_c, dtype=float)
     def solve_schur(g: np.ndarray) -> np.ndarray:
         z, rep = minres_solve(schur, g, rtol=FIELDSPLIT_RTOL, precond=precond)
@@ -323,7 +339,7 @@ def _coupled_linear_solve(J: BlockJacobian, inactive: np.ndarray, rhs: np.ndarra
         report.total_krylov_iterations += rep.iterations
         return z
 
-    return FieldSplitPreconditioner(red, solve_a, solve_schur).matvec(rhs)
+    return FieldSplitPreconditioner(red, factor.solve, solve_schur).matvec(rhs)
 
 
 def coupled_mcp(state: State, problem: Discretization) -> MCProblem:
@@ -341,14 +357,16 @@ def coupled_mcp(state: State, problem: Discretization) -> MCProblem:
 
     def residual(x: np.ndarray) -> np.ndarray:
         unpack(x)
-        return np.concatenate([assemble_residual_u(work, problem, apply_bc=True),
-                               assemble_residual_alpha(work, problem)])
+        strains = element_strains(work, problem)
+        return np.concatenate([assemble_residual_u(work, problem, apply_bc=True, strains=strains),
+                               assemble_residual_alpha(work, problem, strains)])
 
     def jacobian(x: np.ndarray) -> BlockJacobian:
         unpack(x)
+        strains = element_strains(work, problem)
         return BlockJacobian(assemble_Kuu(work, problem, apply_bc=True),
-                             assemble_Kua(work, problem, apply_bc=True),
-                             assemble_Kaa(work, problem))
+                             assemble_Kua(work, problem, apply_bc=True, strains=strains),
+                             assemble_Kaa(work, problem, strains))
 
     lower = np.concatenate([np.full(nu, -np.inf), state.alpha_lb])
     upper = np.concatenate([np.full(nu, np.inf), np.ones(problem.n_vertices)])
@@ -364,7 +382,8 @@ def coupled_newton_solve(state: State, problem: Discretization,
     merit-nonincreasing iterate even on failure.  ``report`` (a new one by
     default) takes the outcome, counts the attempt and its Newton and MINRES
     iterations, and gets one ``newton`` row per residual, the starting one
-    first.
+    first.  The Newton steps share one factor of the displacement block (see
+    :func:`_coupled_linear_solve`), released when the solve returns.
 
     The boundary rows of ``state.u`` should already satisfy the Dirichlet
     data (run an elastic presolve or an alternate-minimization sweep first):
@@ -377,7 +396,7 @@ def coupled_newton_solve(state: State, problem: Discretization,
     x0 = np.concatenate([state.u, state.alpha])
     x, rep = rsls_solve(mcp, x0, abs_tol=config.outer_atol,
                         max_iterations=MAX_NEWTON_ITERATIONS,
-                        linear_solver=partial(_coupled_linear_solve, report=report))
+                        linear_solver=partial(_coupled_linear_solve, report=report, held=[]))
     out = state.copy()
     out.u = x[:problem.n_udofs]
     out.alpha = x[problem.n_udofs:]

@@ -1,5 +1,5 @@
-"""MINRES, direct solves, lagged-LU CG, the field-split preconditioner, block
-operators, sparse utilities."""
+"""MINRES, direct solves and partial refactors, lagged-LU CG, the field-split
+preconditioner, block operators, sparse utilities."""
 
 import weakref
 
@@ -160,6 +160,93 @@ class TestDirect:
         assert factor.band.shape[0] - 1 == 73
         b = np.ones(K.shape[0])
         assert np.linalg.norm(b - K @ factor.solve(b)) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.fixture(scope="module")
+def surfing_elastic():
+    """The surfing elastic block undamaged, and with damage near x = 1.5 (of 2)."""
+    setup = setup_surfing(n_steps=2)
+    state = State.zeros(setup.mesh)
+    setup.apply_load(setup.problem, state, 0.0)
+    K0 = assemble_Kuu(state, setup.problem, apply_bc=True)
+    state.alpha = np.where(np.abs(setup.mesh.vertices[:, 0] - 1.5) < 0.05, 0.7, 0.0)
+    return K0, assemble_Kuu(state, setup.problem, apply_bc=True)
+
+
+def first_changed_row(A0, A1, flip):
+    """First row of U, in elimination order, that an upper entry of A1 - A0 lands in."""
+    i, j = sp.triu(A1 - A0).nonzero()
+    return int((A0.shape[0] - 1 - j if flip else i).min())
+
+
+class TestPartialRefactor:
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_local_damage_refactors_the_tail_in_place(self, surfing_elastic, flip):
+        K0, K1 = surfing_elastic
+        keep = first_changed_row(K0, K1, flip)
+        held = direct_factorize(K0, flip=flip)
+        before = held.band.copy()
+        factor = direct_factorize(K1, last=held)
+        assert factor.band is held.band and factor.flip == flip
+        assert K0.shape[0] // 5 < keep
+        assert np.array_equal(factor.band[:, :keep], before[:, :keep])
+        b = np.random.default_rng(43).standard_normal(K1.shape[0])
+        x = direct_factorize(K1, flip=flip).solve(b)
+        assert np.linalg.norm(factor.solve(b) - x) <= 1e-14 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("row", [0, 3, 70, 143])
+    def test_any_first_changed_row(self, flip, row):
+        # rows 0 and 3 lie within one half-bandwidth (12) of the first row
+        A0 = (laplacian_2d(12) + 4.0 * sp.eye(144)).tocsr()
+        A1 = A0.copy()
+        A1.data[A1.indptr[row]:A1.indptr[row + 1]] *= 1.5   # only the upper part is read
+        b = np.random.default_rng(44).standard_normal(144)
+        factor = direct_factorize(A1, last=direct_factorize(A0, flip=flip))
+        x = direct_factorize(A1, flip=flip).solve(b)
+        assert np.linalg.norm(factor.solve(b) - x) <= 1e-14 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_tail_solve_is_the_full_solve_on_its_rows(self, surfing_elastic, flip):
+        K = surfing_elastic[1]
+        n = K.shape[0]
+        factor = direct_factorize(K, flip=flip)
+        rng = np.random.default_rng(45)
+        for start in (1, 50, 73, 74, 3001, n - 1):
+            rows = np.arange(start, n)   # in elimination order
+            dofs = n - 1 - rows if flip else rows
+            b = np.zeros(n)
+            b[dofs] = rng.standard_normal(rows.size)
+            assert np.array_equal(factor.solve(b, start)[dofs], factor.solve(b)[dofs])
+
+    def test_unchanged_matrix_returns_the_held_factor(self, surfing_elastic):
+        held = direct_factorize(surfing_elastic[0], flip=True)
+        assert direct_factorize(surfing_elastic[0].copy(), last=held) is held
+
+    def test_another_pattern_gets_a_fresh_factor(self):
+        # the same nnz and indptr, other column indices
+        def coupled(pairs):
+            A = laplacian_1d(10) + 4.0 * sp.eye(10)
+            for i, j in pairs:
+                A = A + 0.5 * (sp.csr_matrix(([1.0], ([i], [j])), shape=(10, 10))
+                               + sp.csr_matrix(([1.0], ([j], [i])), shape=(10, 10)))
+            return A.tocsr()
+
+        A0, A1 = coupled([(0, 5), (1, 6)]), coupled([(0, 6), (1, 5)])
+        assert A0.nnz == A1.nnz and np.array_equal(A0.indptr, A1.indptr)
+        held = direct_factorize(A0, flip=True)
+        factor = direct_factorize(A1, last=held)
+        assert factor.band is not held.band and not factor.flip
+        b = np.ones(10)
+        assert np.linalg.norm(b - A1 @ factor.solve(b)) <= 1e-13
+
+    def test_nonpositive_pivot_in_the_tail_raises(self, surfing_elastic):
+        K0 = surfing_elastic[0]
+        bad = K0.copy()
+        bad.data[bad.indptr[-1] - 1] = -1.0   # the last diagonal entry
+        held = direct_factorize(K0)
+        with pytest.raises(SingularOperatorError, match="nonpositive pivot"):
+            direct_factorize(bad, last=held)
 
 
 class TestLaggedFactorization:

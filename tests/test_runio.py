@@ -17,11 +17,11 @@ import phasefrac.solver
 from phasefrac import cli
 from phasefrac.cases import setup_surfing, setup_thermal_shock, setup_traction
 from phasefrac.linalg import SingularOperatorError
-from phasefrac.mesh import rect_mesh
+from phasefrac.mesh import Mesh, rect_mesh
 from phasefrac.runio import (ConfigError, ENERGY_COLUMNS, ITERATION_COLUMNS,
                              SUMMARY_COLUMNS, RunConfig, build_setup,
                              echo_config, parse_config, parse_sweep, run, sweep,
-                             write_vtk)
+                             vtk_grid, write_vtk)
 from phasefrac.solver import CHOICES, SolverConfig
 
 TRACTION_SMOKE = """
@@ -403,8 +403,24 @@ class TestRunArtifacts:
         alpha[:4] = [0.0, 1.0, 1e-300, 5e-324]
         u[:6] = [-1e-300, -0.0, 3.0, -2.0, 1e300, -7.0]
         path = tmp_path / "snapshot.vtk"
-        write_vtk(path, mesh, alpha, u, title="jittered")
+        write_vtk(path, vtk_grid(mesh), alpha, u, title="jittered")
         assert path.read_bytes() == oracle(mesh, alpha, u, "jittered")
+
+    def test_vtk_of_two_triangles(self, tmp_path):
+        mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.0, 0.5]]),
+                    np.array([[0, 1, 2], [0, 2, 3]]))
+        path = tmp_path / "two.vtk"
+        write_vtk(path, vtk_grid(mesh), np.array([0.0, 1.0, 0.25, 1e-300]),
+                  np.array([0.0, -0.0, 0.1, 2.0, -3.5, 1e300, 0.0, 0.0]), title="two")
+        assert path.read_text() == (
+            "# vtk DataFile Version 3.0\ntwo\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+            "POINTS 4 double\n0.0 0.0 0.0\n1.0 0.0 0.0\n1.0 0.5 0.0\n0.0 0.5 0.0\n"
+            "CELLS 2 8\n3 0 1 2\n3 0 2 3\n"
+            "CELL_TYPES 2\n5\n5\n"
+            "POINT_DATA 4\nSCALARS alpha double 1\nLOOKUP_TABLE default\n"
+            "0.0\n1.0\n0.25\n1e-300\n"
+            "VECTORS displacement double\n"
+            "0.0 -0.0 0.0\n0.1 2.0 0.0\n-3.5 1e+300 0.0\n0.0 0.0 0.0\n")
 
     def test_rerun_is_bitwise_identical(self, run_dir, tmp_path):
         out2 = tmp_path / "run2"

@@ -15,7 +15,8 @@ from phasefrac.cases import StepFailureError, run_quasistatic, setup_surfing, se
 from phasefrac.fem import (State, apply_dirichlet, assemble_energy, assemble_Kuu, assemble_load_u,
                            assemble_residual_alpha, impose_dirichlet)
 from phasefrac.linalg import (BlockJacobian, FieldSplitPreconditioner, LaggedFactorization,
-                              LinearSolverError, inner_direct, minres_solve)
+                              LinearSolverError, SingularOperatorError, inner_direct,
+                              minres_solve)
 from phasefrac.model import Material
 from phasefrac.solver import (FIELDSPLIT_RTOL, LAGGED_ATOL_FACTOR, LAGGED_CG_ITERATIONS,
                               MAX_NEWTON_ITERATIONS, NonlinearReport, SolverConfig,
@@ -577,7 +578,7 @@ class TestCoupledLinearSolve:
         sizes = []
         solve = phasefrac.linalg.DirectFactorization.solve
         monkeypatch.setattr(phasefrac.linalg.DirectFactorization, "solve",
-                            lambda self, b: sizes.append(len(b)) or solve(self, b))
+                            lambda self, b, *start: sizes.append(len(b)) or solve(self, b, *start))
         return sizes
 
     def test_one_displacement_solve_per_iteration(self, monkeypatch):
@@ -599,6 +600,61 @@ class TestCoupledLinearSolve:
         assert rep.iterations == 0 and rep.converged
         assert sizes == [J.nu]
         assert np.allclose(x, np.linalg.solve(J.A.toarray(), b), rtol=1e-12, atol=1e-14)
+
+
+class TestHeldDisplacementFactor:
+    @staticmethod
+    def solve(J, b, held):
+        return _coupled_linear_solve(J, np.arange(J.shape[0]), b, NonlinearReport(), held)
+
+    def test_reached_rows_are_eliminated_last(self, surfing_block):
+        held = []
+        self.solve(surfing_block, np.ones(surfing_block.shape[0]), held)
+        n = surfing_block.nu
+        reach = np.flatnonzero(np.diff(surfing_block.B.indptr))
+        assert 0 < reach.size < n
+        first = {False: reach.min(), True: n - 1 - reach.max()}
+        assert first[held[0].flip] == max(first.values())
+
+    def test_tail_solves_change_no_bit(self, surfing_block, monkeypatch):
+        b = np.random.default_rng(25).standard_normal(surfing_block.shape[0])
+        x = self.solve(surfing_block, b, [])
+        solve = phasefrac.linalg.DirectFactorization.solve
+        monkeypatch.setattr(phasefrac.linalg.DirectFactorization, "solve",
+                            lambda self, b, start=0: solve(self, b))
+        assert np.array_equal(self.solve(surfing_block, b, []), x)
+
+    def test_refactored_factor_solves_like_a_fresh_one(self, surfing_block):
+        J = surfing_block
+        b = np.random.default_rng(26).standard_normal(J.shape[0])
+        held = []
+        self.solve(J, b, held)
+        factor = held[0]
+        # D A D, D < 1 on the later half of the elimination order
+        order = np.arange(J.nu)[::-1] if factor.flip else np.arange(J.nu)
+        d = np.where(order >= J.nu // 2, np.sqrt(0.9), 1.0)
+        damaged = J.A.copy()
+        damaged.data *= d[np.repeat(np.arange(J.nu), np.diff(damaged.indptr))] * d[damaged.indices]
+        J2 = BlockJacobian(damaged, J.B, J.C)
+        before = factor.band[:, :J.nu // 4].copy()
+        x = self.solve(J2, b, held)
+        assert held[0].band is factor.band
+        assert np.array_equal(factor.band[:, :J.nu // 4], before)
+        x_fresh = self.solve(J2, b, [])
+        assert np.linalg.norm(x - x_fresh) <= 1e-10 * np.linalg.norm(x_fresh)
+
+    def test_failed_refactor_empties_the_holder(self, surfing_block):
+        J = surfing_block
+        b = np.random.default_rng(27).standard_normal(J.shape[0])
+        held = []
+        x = self.solve(J, b, held)
+        bad = J.A.copy()
+        last = 0 if held[0].flip else J.nu - 1   # the row eliminated last
+        bad.data[np.flatnonzero(bad.indices == last)[-1 if last else 0]] = -1.0
+        with pytest.raises(SingularOperatorError):
+            self.solve(BlockJacobian(bad, J.B, J.C), b, held)
+        assert held == []
+        assert np.array_equal(self.solve(J, b, held), x)
 
 
 class TestComposedSolver:
