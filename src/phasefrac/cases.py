@@ -278,9 +278,11 @@ def run_quasistatic(setup: ProblemSetup, config: SolverConfig,
     its ``iterations`` are the AM sweeps, counted from 1, and the Newton
     iterates, counted from 0 (the starting residual) with NaN energies.
     Non-convergence and linear-solver errors raise StepFailureError carrying
-    the records accumulated so far and the failed step's report.
+    the records accumulated so far and the failed step's report.  Every step
+    refactors one elastic-block factor, held for this run only (see ``solver``).
     """
     state = State.zeros(setup.mesh, setup.initial_alpha_lb)
+    held: list = []   # the run's elastic-block factor; dies with the run
     records: list = []
     seeded = False
     n = setup.schedule.shape[0]
@@ -296,7 +298,7 @@ def run_quasistatic(setup: ProblemSetup, config: SolverConfig,
 
         report = NonlinearReport()
         try:
-            solve_load_step(state, setup.problem, config, report)
+            solve_load_step(state, setup.problem, config, report, held)
         except LinearSolverError as exc:
             raise StepFailureError(k, t, records, state, report, cause=exc) from exc
         energy = assemble_energy(state, setup.problem)

@@ -7,11 +7,13 @@ residual norms are reported quantities; direct factorization is LAPACK's
 banded Cholesky, which the grid's numbering (see ``mesh``) keeps narrow.  A
 factor may eliminate the dofs in reverse order, may be refactored in place
 from the first row where its matrix changed, and solves on its trailing rows
-alone a right-hand side that vanishes before them.  A sequence of nearby SPD
-systems can reuse one factor as the preconditioner of a short CG solve,
-refactoring only when CG misses its iteration budget or the caller's key
-changes.  Each Newton solve is one field split: damage by MINRES on
-``C - B^T A^-1 B`` with C's factor, one A-solve per step.
+alone a right-hand side that vanishes before them.  A holder (a list of at
+most one factor) passes a factor from one refactor to the next, so that one
+elastic-block factor can serve a whole run.  A sequence of nearby SPD systems
+can reuse the held factor as the preconditioner of a short CG solve,
+refactoring it in part only when CG misses its iteration budget, and afresh
+when the caller's key changes.  Each Newton solve is one field split: damage
+by MINRES on ``C - B^T A^-1 B`` with C's factor, one A-solve per step.
 
 Operators need ``shape`` and ``A @ x``; preconditioners need ``matvec(r)``,
 which applies a fixed SPD approximation of the inverse.
@@ -271,37 +273,58 @@ def _pcg(A, b: np.ndarray, x0: np.ndarray, precond: Callable, atol: float,
     return x, LinearSolveReport(it, rnorm, rnorm <= atol)
 
 
+def refactor(held: list, A, flip: bool = False) -> bool:
+    """Replace the factor in ``held`` (a list of at most one) by the factor of A
+    refactored from it, as ``direct_factorize(A, last=..., flip=flip)`` does.  The
+    list is empty while that runs and after a raise, so the held band is freed
+    before a new one is allocated.  Returns False when A was unchanged and the
+    held factor came back with no LAPACK call."""
+    old = held[0].A if held else None
+    held.append(direct_factorize(A, held.pop() if held else None, flip))
+    return held[0].A is not old
+
+
 class LaggedFactorization:
     """Solves a sequence of nearby SPD systems with the factor of an earlier one.
 
     ``solve`` runs CG preconditioned by the held factorization, started from
     the caller's guess.  If CG has not reached ``atol`` (absolute, on the
-    unpreconditioned residual) within ``max_iterations``, or nothing is held
-    yet, or it was made under another ``key`` (by ``np.array_equal``), the
-    held factorization is released, the current matrix is factored and kept,
-    and its exact solve is returned.  At most one factorization is
-    alive at a time.  ``factorizations`` and ``cg_iterations`` count the work
-    done over the holder's life.
+    unpreconditioned residual) within ``max_iterations``, the held factor is
+    refactored for the current matrix from its first changed row (see
+    :func:`refactor`; ``flip`` orients a fresh one) and the exact solve is
+    returned; with ``atol = 0`` and no iterations every solve is exact.
+    Nothing held, or a factor made under another ``key`` (by
+    ``np.array_equal``), means a fresh factorization.  ``held``, a list of at
+    most one factor, may be shared with other holders and solves, so that the
+    factor outlives this object; at most one band is alive at a time.
+    ``factorizations`` (fresh or partial, not a factor returned unchanged)
+    and ``cg_iterations`` count the work done through this object.
     """
 
-    def __init__(self, atol: float, max_iterations: int):
+    def __init__(self, atol: float, max_iterations: int, held: Optional[list] = None):
         self.atol = atol
         self.max_iterations = max_iterations
-        self.factor: Optional[DirectFactorization] = None
+        self.held = [] if held is None else held
         self.key = None
         self.factorizations = 0
         self.cg_iterations = 0
 
-    def solve(self, A, b: np.ndarray, x0: np.ndarray, key=None) -> np.ndarray:
-        if self.factor is not None and np.array_equal(key, self.key):
-            x, rep = _pcg(A, b, x0, self.factor.solve, self.atol, self.max_iterations)
+    @property
+    def factor(self) -> Optional[DirectFactorization]:
+        return self.held[0] if self.held else None
+
+    def solve(self, A, b: np.ndarray, x0: np.ndarray, key=None,
+              flip: bool = False) -> np.ndarray:
+        if not np.array_equal(key, self.key):
+            self.held.clear()
+        self.key = key
+        if self.held:
+            x, rep = _pcg(A, b, x0, self.held[0].solve, self.atol, self.max_iterations)
             self.cg_iterations += rep.iterations
             if rep.converged:
                 return x
-        self.factor = None   # freed before the next is built, to bound peak memory
-        self.factor, self.key = direct_factorize(A), key
-        self.factorizations += 1
-        return self.factor.solve(b)
+        self.factorizations += refactor(self.held, A, flip)
+        return self.held[0].solve(b)
 
 
 # -- submatrix extraction ------------------------------------------------------

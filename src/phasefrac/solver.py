@@ -9,20 +9,26 @@ residual composed through the Fischer-Burmeister function against the bounds
 * ``am_solve`` -- alternate minimization: linear solve in u at fixed alpha,
   then a bound-constrained damage solve at fixed u, with optional
   over-relaxation ``omega`` of both half-step increments.  Both blocks are
-  solved by CG on the last factor of the call (the damage one only for the same
-  inactive set), refactored when CG misses its budget.  Over-relaxed
+  solved by CG on the last factor (the damage one only for the same inactive
+  set), refactored from its first changed row when CG misses its budget; the
+  elastic factor is the run's (see below), the damage one the call's.  Over-relaxed
   damage updates that leave the box are backtracked toward the unrelaxed
   update (midpoint rule) until feasible.  With ``omega = 1`` the total energy
   is nonincreasing across iterations.
 * ``coupled_newton_solve`` -- semismooth active-set Newton on (u, alpha); one
   field split per Newton solve, its damage solve MINRES on ``C - B^T A^-1 B``
   preconditioned by the factor of C, with one A-solve per iteration.  The
-  factor of A is kept from step to step and refactored from its first
-  changed row.
+  factor of A is refactored from its first changed row at each step.
 * ``oram_n_solve`` -- outer cycles that run alternate minimization to a loose
   relative tolerance and then hand over to the coupled Newton solver; a
   failed Newton phase keeps its last (merit-nonincreasing) iterate and
   returns to alternate minimization.
+
+All three take ``held``, the holder of the elastic-block factor (a list of at
+most one, see ``linalg.refactor``).  ``run_quasistatic`` makes one per run and
+passes it to every load step, so the AM sweeps, the ``newton_only`` presolve
+and the Newton steps refactor one factor from its first changed row, and only
+the run's first factor is fresh; a caller that passes none gets one per call.
 
 Each fills a ``NonlinearReport`` in place (a new one by default) with its
 outcome, its counts (MINRES iterations included) and one ``Iteration`` row per
@@ -45,7 +51,7 @@ from .fem import (Discretization, State, apply_dirichlet, assemble_energy,
                   impose_dirichlet)
 from .linalg import (BlockJacobian, FieldSplitPreconditioner, LaggedFactorization,
                      LinearSolverError, direct_factorize, extract_submatrix,
-                     inner_direct, minres_solve)
+                     inner_direct, minres_solve, refactor)
 from .vi import (MCProblem, active_set_slack, classify_active, fb_composite,
                  reduced_direct_solver, rsls_solve)
 
@@ -128,7 +134,9 @@ class NonlinearReport:
     newton_iterations: int = 0
     newton_attempts: int = 0
     total_krylov_iterations: int = 0   # MINRES iterations of the coupled Newton solves
-    elastic_factorizations: int = 0    # factors of the elastic block in the AM sweeps
+    # fresh or partial LAPACK factors of the elastic block in the step (AM sweeps,
+    # presolve, Newton steps); one returned unchanged is not counted
+    elastic_factorizations: int = 0
     damage_factorizations: int = 0     # factors of inactive damage blocks in the AM sweeps
     entry_energy: float = np.nan       # total energy where the first AM phase started
     iterations: list = field(default_factory=list)   # Iteration rows, in order
@@ -164,23 +172,32 @@ def residual_norm(state: State, problem: Discretization, strains=None,
 # -- half-steps -----------------------------------------------------------------
 
 
+def _flip(rows: np.ndarray, n: int) -> bool:
+    """Whether reversed elimination puts the first of the sorted ``rows`` of an
+    n-row factor later than natural elimination does."""
+    return rows.size > 0 and rows[0] < n - 1 - rows[-1]
+
+
 def elastic_step(state: State, problem: Discretization,
                  lagged: Optional[LaggedFactorization] = None) -> np.ndarray:
     """Minimize the energy in u at fixed alpha.
 
     Without ``lagged`` this is one Cholesky solve.  With it, CG started from
     ``state.u`` and preconditioned by the held factor solves the system to
-    ``lagged.atol``, and a budget miss refactors (see
-    :class:`~phasefrac.linalg.LaggedFactorization`).  Either way the
-    Dirichlet rows of the returned u hold the boundary data exactly when
-    those of ``state.u`` do, or when the system was factored.
+    ``lagged.atol``, and a budget miss refactors the held factor from its
+    first changed row (see :class:`~phasefrac.linalg.LaggedFactorization`; a
+    zero budget and tolerance make it one Cholesky solve).  A fresh factor in
+    ``lagged`` eliminates last the rows of the damaged vertices (alpha > 0).
+    Either way the Dirichlet rows of the returned u hold the boundary data
+    exactly when those of ``state.u`` do, or when the system was factored.
     """
     K = assemble_Kuu(state, problem, apply_bc=False)
     f = assemble_load_u(state, problem)
     K, f = apply_dirichlet(K, f, problem)
     if lagged is None:
         return direct_factorize(K).solve(f)
-    return lagged.solve(K, f, state.u)
+    flip = _flip(np.flatnonzero(np.repeat(state.alpha > 0.0, 2)), K.shape[0])
+    return lagged.solve(K, f, state.u, flip=flip)
 
 
 def damage_system(state: State, problem: Discretization, strains=None):
@@ -214,17 +231,20 @@ def damage_step(state: State, problem: Discretization, config: SolverConfig,
 
 def am_solve(state: State, problem: Discretization, config: SolverConfig,
              target: float = 0.0, cycle: int = 0,
-             report: Optional[NonlinearReport] = None) -> NonlinearReport:
+             report: Optional[NonlinearReport] = None,
+             held: Optional[list] = None) -> NonlinearReport:
     """Alternate minimization with over-relaxation; mutates ``state`` in place.
 
-    The first sweep factors the elastic block.  Later sweeps solve it by CG
-    from the current iterate, preconditioned by the last factorization of this
-    call, to ``LAGGED_ATOL_FACTOR * outer_atol``; after
-    ``LAGGED_CG_ITERATIONS`` iterations without reaching it, the current
-    block is factored and solved exactly instead (the old factorization is
-    released first).  The damage Newton steps do likewise on the last inactive
-    damage block, while the inactive set is unchanged.  A sweep evaluates the
-    strains once, and its damage residual is ``Kaa @ alpha + c`` of its system.
+    Every sweep solves the elastic block by CG from the current iterate,
+    preconditioned by the factor in ``held`` (the run's, or this call's when
+    None), to ``LAGGED_ATOL_FACTOR * outer_atol``.  With nothing held yet, or
+    after ``LAGGED_CG_ITERATIONS`` iterations without reaching that tolerance,
+    the factor is refactored in place from the block's first changed row (a
+    fresh one eliminates the damaged rows last) and the block is solved
+    exactly.  The damage Newton steps do likewise, with a factor of this
+    call's, on the last inactive damage block while the inactive set is
+    unchanged.  A sweep evaluates the strains once, and its damage residual is
+    ``Kaa @ alpha + c`` of its system.
 
     Stops when the optimality norm drops below ``outer_atol``.  With a
     positive ``target`` (the hand-off phase of the composite method) it may
@@ -244,8 +264,9 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
     if not report.iterations:
         report.entry_energy = assemble_energy(state, problem).total
 
-    lagged_u, lagged_alpha = (LaggedFactorization(LAGGED_ATOL_FACTOR * config.outer_atol,
-                                                  LAGGED_CG_ITERATIONS) for _ in range(2))
+    atol = LAGGED_ATOL_FACTOR * config.outer_atol
+    lagged_u = LaggedFactorization(atol, LAGGED_CG_ITERATIONS, held)
+    lagged_alpha = LaggedFactorization(atol, LAGGED_CG_ITERATIONS)
     d_prev = None
     for sweep in range(1, config.max_am_iterations + 1):
         u_prev = state.u.copy()
@@ -313,17 +334,17 @@ def _coupled_linear_solve(J: BlockJacobian, inactive: np.ndarray, rhs: np.ndarra
     Adds a converged solve's iterations to ``report.total_krylov_iterations``.
 
     ``held`` (a list of at most one factor) carries the factor of A from one
-    call to the next, refactored from A's first changed row on and emptied
-    while that runs.  A fresh factor eliminates last the displacement rows
+    call to the next, refactored from A's first changed row on (see
+    ``linalg.refactor``; counted in ``report.elastic_factorizations`` unless
+    returned unchanged).  A fresh factor eliminates last the displacement rows
     that B couples to the damage, and the A-solves inside the Schur product
     solve only from the first of them: ``B z`` vanishes before it, and ``B^T``
     reads nothing else."""
     red, _, _ = _inactive_blocks(J, inactive)
     held = [] if held is None else held
     reach, n = np.flatnonzero(np.diff(red.B.indptr)), red.nu
-    factor = direct_factorize(red.A, held.pop() if held else None,
-                              flip=reach.size > 0 and reach[0] < n - 1 - reach[-1])
-    held.append(factor)
+    report.elastic_factorizations += refactor(held, red.A, _flip(reach, n))
+    factor = held[0]
     start = int((n - 1 - reach if factor.flip else reach).min(initial=n))
     solve_c = inner_direct(red.C)
     # dtype given, so that scipy does not probe the operators with a solve
@@ -375,15 +396,17 @@ def coupled_mcp(state: State, problem: Discretization) -> MCProblem:
 
 def coupled_newton_solve(state: State, problem: Discretization,
                          config: SolverConfig, cycle: int = 0,
-                         report: Optional[NonlinearReport] = None) -> State:
+                         report: Optional[NonlinearReport] = None,
+                         held: Optional[list] = None) -> State:
     """Active-set Newton on the stacked system from the current state.
 
     Does not mutate ``state``; returns the new state, the last
     merit-nonincreasing iterate even on failure.  ``report`` (a new one by
     default) takes the outcome, counts the attempt and its Newton and MINRES
     iterations, and gets one ``newton`` row per residual, the starting one
-    first.  The Newton steps share one factor of the displacement block (see
-    :func:`_coupled_linear_solve`), released when the solve returns.
+    first.  The Newton steps refactor the displacement-block factor in
+    ``held`` (see :func:`_coupled_linear_solve`), which stays there for the
+    caller; without ``held`` it is this call's.
 
     The boundary rows of ``state.u`` should already satisfy the Dirichlet
     data (run an elastic presolve or an alternate-minimization sweep first):
@@ -396,7 +419,8 @@ def coupled_newton_solve(state: State, problem: Discretization,
     x0 = np.concatenate([state.u, state.alpha])
     x, rep = rsls_solve(mcp, x0, abs_tol=config.outer_atol,
                         max_iterations=MAX_NEWTON_ITERATIONS,
-                        linear_solver=partial(_coupled_linear_solve, report=report, held=[]))
+                        linear_solver=partial(_coupled_linear_solve, report=report,
+                                              held=[] if held is None else held))
     out = state.copy()
     out.u = x[:problem.n_udofs]
     out.alpha = x[problem.n_udofs:]
@@ -409,7 +433,8 @@ def coupled_newton_solve(state: State, problem: Discretization,
 
 
 def oram_n_solve(state: State, problem: Discretization, config: SolverConfig,
-                 report: Optional[NonlinearReport] = None) -> NonlinearReport:
+                 report: Optional[NonlinearReport] = None,
+                 held: Optional[list] = None) -> NonlinearReport:
     """Over-relaxed alternate minimization composed with coupled Newton.
 
     Each outer cycle measures the optimality norm, runs alternate
@@ -422,9 +447,11 @@ def oram_n_solve(state: State, problem: Discretization, config: SolverConfig,
     to.  A rejected or unconverged Newton phase never loses the cycle's
     progress — the next cycle resumes alternate minimization from the
     hand-off point with a tighter target — so the accepted-state energy never
-    exceeds the pure alternate-minimization trajectory.
+    exceeds the pure alternate-minimization trajectory.  The AM cycles and the
+    Newton phases share the elastic-block factor in ``held``.
     """
     report = NonlinearReport() if report is None else report
+    held = [] if held is None else held
     impose_dirichlet(state, problem)
 
     for cycle in range(MAX_OUTER_CYCLES):
@@ -432,14 +459,16 @@ def oram_n_solve(state: State, problem: Discretization, config: SolverConfig,
         if norm <= config.outer_atol:
             break
 
-        am_solve(state, problem, config, target=AM_RTOL * norm, cycle=cycle, report=report)
+        am_solve(state, problem, config, target=AM_RTOL * norm, cycle=cycle, report=report,
+                 held=held)
         if not math.isfinite(report.final_residual_norm):
             break
         if report.final_residual_norm <= config.outer_atol:
             break
 
         e_handoff = report.iterations[-1].total
-        newt_state = coupled_newton_solve(state, problem, config, cycle=cycle, report=report)
+        newt_state = coupled_newton_solve(state, problem, config, cycle=cycle, report=report,
+                                          held=held)
         e_newton = assemble_energy(newt_state, problem).total
         if report.converged and e_newton <= e_handoff + 1e-12 * (1.0 + abs(e_handoff)):
             state.u, state.alpha = newt_state.u, newt_state.alpha
@@ -451,11 +480,13 @@ def oram_n_solve(state: State, problem: Discretization, config: SolverConfig,
 
 
 def solve_load_step(state: State, problem: Discretization, config: SolverConfig,
-                    report: Optional[NonlinearReport] = None) -> NonlinearReport:
-    """Dispatch one load step to the configured method; mutates ``state``, fills ``report``."""
+                    report: Optional[NonlinearReport] = None,
+                    held: Optional[list] = None) -> NonlinearReport:
+    """Dispatch one load step to the configured method; mutates ``state``, fills
+    ``report``.  ``held`` is the elastic-block factor's holder (one per call if None)."""
     report = NonlinearReport() if report is None else report
     if config.method == "oram_newton":
-        return oram_n_solve(state, problem, config, report)
+        return oram_n_solve(state, problem, config, report, held)
     if config.method == "newton_only":
         # Lift the new boundary data onto the iterate with one linear elastic
         # presolve at the current damage.  The boundary rows must be exactly
@@ -464,12 +495,16 @@ def solve_load_step(state: State, problem: Discretization, config: SolverConfig,
         # MINRES), so directions computed from boundary-inconsistent states
         # drop the boundary-to-interior coupling and wander; snapping the raw
         # boundary values instead creates a strain spike whose damage driving
-        # force strands the merit line search.
-        state.u = elastic_step(state, problem)
-        new_state = coupled_newton_solve(state, problem, config, report=report)
+        # force strands the merit line search.  The presolve is exact (no CG)
+        # on the held factor, which the first Newton step gets back unchanged.
+        lagged = LaggedFactorization(0.0, 0, held)
+        state.u = elastic_step(state, problem, lagged)
+        report.elastic_factorizations += lagged.factorizations
+        new_state = coupled_newton_solve(state, problem, config, report=report,
+                                         held=lagged.held)
         state.u, state.alpha = new_state.u, new_state.alpha
         return report
-    return am_solve(state, problem, config, report=report)
+    return am_solve(state, problem, config, report=report, held=held)
 
 
 # -- reduced block system at a solved state ----------------------------------------

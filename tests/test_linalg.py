@@ -1,7 +1,7 @@
 """MINRES, direct solves and partial refactors, lagged-LU CG, the field-split
 preconditioner, block operators, sparse utilities."""
 
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from phasefrac.fem import State, assemble_Kuu
 from phasefrac.linalg import (BlockJacobian, FieldSplitPreconditioner,
                               LaggedFactorization, SingularOperatorError,
                               direct_factorize, extract_submatrix, inner_direct,
-                              minres_solve)
+                              minres_solve, refactor)
 from phasefrac.solver import SolverConfig, inactive_block_jacobian
 
 
@@ -309,20 +309,32 @@ class TestLaggedFactorization:
         expected = direct_factorize(A).solve(b)
         assert np.allclose(x, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
-    def test_old_factor_released_before_refactoring(self, monkeypatch):
-        lagged = self.held(self.damaged(1.0))
-        old = weakref.ref(lagged.factor)
-        factorize = phasefrac.linalg.direct_factorize
-        alive = []
-
-        def check(*args, **kwargs):
-            alive.append(old() is not None)
-            return factorize(*args, **kwargs)
-
-        monkeypatch.setattr(phasefrac.linalg, "direct_factorize", check)
-        b = np.ones(self.N * self.N)
-        lagged.solve(self.damaged(1e-3), b, np.zeros_like(b))
-        assert alive == [False]
+    def test_at_most_one_band_is_alive(self):
+        # half-bandwidth 200 with 5 entries a row: the band dwarfs every temporary
+        A = (sp.kronsum(laplacian_1d(200), laplacian_1d(10)) + sp.eye(2000)).tocsr()
+        b = np.ones(A.shape[0])
+        tracemalloc.start()
+        try:
+            lagged = LaggedFactorization(self.ATOL, self.BUDGET)
+            lagged.solve(A, b, np.zeros_like(b))
+            old = lagged.factor
+            # a partial refactor overwrites the held band in place
+            shifted = (A + sp.diags((np.arange(2000) >= 1500).astype(float))).tocsr()
+            lagged.solve(shifted, b, np.zeros_like(b))
+            assert lagged.factorizations == 2 and lagged.factor is not old
+            assert lagged.factor.band is old.band
+            # another pattern frees the held band before it allocates a new one
+            band_bytes = old.band.nbytes
+            del old
+            coupled = (A + 0.25 * (sp.eye(2000, k=100) + sp.eye(2000, k=-100))).tocsr()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert refactor(lagged.held, coupled)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lagged.factor.band.nbytes == band_bytes
+        assert peak - before < 0.5 * band_bytes
 
     def test_same_key_keeps_the_factor_and_another_key_refactors(self, factorizations):
         A = self.damaged(1.0)
@@ -336,6 +348,33 @@ class TestLaggedFactorization:
         assert lagged.factor is not held and len(factorizations) == 2
         assert lagged.factorizations == 2
         assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_partial_refactor_after_a_cg_miss(self, surfing_elastic, flip):
+        K0, K1 = surfing_elastic
+        b = np.random.default_rng(46).standard_normal(K0.shape[0])
+        lagged = LaggedFactorization(self.ATOL, self.BUDGET)
+        lagged.solve(K0, b, np.zeros_like(b), flip=flip)
+        band = lagged.factor.band
+        x = lagged.solve(K1, b, np.zeros_like(b), flip=not flip)
+        assert lagged.cg_iterations == self.BUDGET and lagged.factorizations == 2
+        assert lagged.factor.band is band and lagged.factor.flip == flip
+        fresh = direct_factorize(K1, flip=flip).solve(b)
+        assert np.linalg.norm(x - fresh) <= 1e-14 * np.linalg.norm(fresh)
+
+    def test_failed_partial_refactor_empties_the_holder(self, surfing_elastic):
+        K0, K1 = surfing_elastic
+        b = np.random.default_rng(47).standard_normal(K0.shape[0])
+        lagged = LaggedFactorization(self.ATOL, self.BUDGET)
+        lagged.solve(K0, b, np.zeros_like(b))
+        bad = K1.copy()
+        bad.data[bad.indptr[-1] - 1] = -1.0   # the last diagonal entry, eliminated last
+        with pytest.raises(SingularOperatorError, match="nonpositive pivot"):
+            lagged.solve(bad, b, np.zeros_like(b))
+        assert lagged.held == [] and lagged.factorizations == 1
+        x = lagged.solve(K1, b, np.zeros_like(b))
+        assert lagged.factorizations == 2
+        assert np.array_equal(x, direct_factorize(K1).solve(b))
 
     def test_non_finite_matrix_raises(self):
         lagged = self.held(self.damaged(1.0))

@@ -657,6 +657,54 @@ class TestHeldDisplacementFactor:
         assert np.array_equal(self.solve(J, b, held), x)
 
 
+class TestRunHolder:
+    def test_newton_only_run_refactors_one_factor(self, monkeypatch):
+        setup = setup_surfing(MAT, h=0.05, n_steps=3, t_end=0.1)
+        nu = setup.problem.n_udofs
+        calls, in_presolve = [], []   # per elastic factorization: (presolve?, last, factor)
+        factorize = phasefrac.linalg.direct_factorize
+        elastic = phasefrac.solver.elastic_step
+
+        def recorded(A, last=None, flip=False):
+            factor = factorize(A, last, flip)
+            if A.shape[0] == nu:
+                calls.append((bool(in_presolve), last, factor))
+            return factor
+
+        def presolve(*args, **kwargs):
+            in_presolve.append(1)
+            try:
+                return elastic(*args, **kwargs)
+            finally:
+                in_presolve.pop()
+
+        monkeypatch.setattr(phasefrac.linalg, "direct_factorize", recorded)
+        monkeypatch.setattr(phasefrac.solver, "elastic_step", presolve)
+        records = run_quasistatic(setup, SolverConfig(method="newton_only"), snapshot_stride=0)
+        assert [last is None for _, last, _ in calls].count(True) == 1
+        # the pre-crack's rows (x = 0) come first in natural order, so last in the fresh factor
+        assert calls[0][0] and calls[0][2].flip
+        presolves = [k for k, (pre, _, _) in enumerate(calls) if pre]
+        assert len(presolves) == 3
+        for k in presolves:
+            assert calls[k + 1][2] is calls[k][2]
+        made = sum(factor is not last for _, last, factor in calls)
+        assert sum(rec.report.elastic_factorizations for rec in records) == made
+        assert made <= len(calls) - 3
+
+    def test_consecutive_runs_repeat_bit_for_bit(self):
+        def run():
+            setup = setup_surfing(MAT, h=0.05, n_steps=3, t_end=0.1)
+            config = SolverConfig(method="oram_newton", omega=1.6)
+            return [(rec.energy.total, rec.report.am_iterations, rec.report.newton_iterations,
+                     rec.report.total_krylov_iterations, rec.report.elastic_factorizations)
+                    for rec in run_quasistatic(setup, config, snapshot_stride=0)]
+
+        first = run()
+        assert sum(newton for _, _, newton, _, _ in first) > 0
+        assert run() == first
+
+
 class TestComposedSolver:
     def test_matches_am_in_elastic_regime(self, traction):
         s1 = loaded_state(traction, 0.5)
