@@ -9,11 +9,11 @@ factor may eliminate the dofs in reverse order, may be refactored in place
 from the first row where its matrix changed, and solves on its trailing rows
 alone a right-hand side that vanishes before them.  A holder (a list of at
 most one factor) passes a factor from one refactor to the next, so that one
-elastic-block factor can serve a whole run.  A sequence of nearby SPD systems
-can reuse the held factor as the preconditioner of a short CG solve,
-refactoring it in part only when CG misses its iteration budget, and afresh
-when the caller's key changes.  Each Newton solve is one field split: damage
-by MINRES on ``C - B^T A^-1 B`` with C's factor, one A-solve per step.
+elastic-block factor can serve a whole run.  The nearby elastic systems of
+successive sweeps reuse the held factor as the preconditioner of a short CG
+solve, refactoring it in part only when CG misses its iteration budget.  Each
+Newton solve is one field split: damage by MINRES on ``C - B^T A^-1 B`` with
+C's factor, one A-solve per step.
 
 Operators need ``shape`` and ``A @ x``; preconditioners need ``matvec(r)``,
 which applies a fixed SPD approximation of the inverse.
@@ -285,7 +285,8 @@ def refactor(held: list, A, flip: bool = False) -> bool:
 
 
 class LaggedFactorization:
-    """Solves a sequence of nearby SPD systems with the factor of an earlier one.
+    """Solves a sequence of nearby SPD systems, the elastic blocks of successive
+    sweeps, with the factor of an earlier one.
 
     ``solve`` runs CG preconditioned by the held factorization, started from
     the caller's guess.  If CG has not reached ``atol`` (absolute, on the
@@ -293,10 +294,9 @@ class LaggedFactorization:
     refactored for the current matrix from its first changed row (see
     :func:`refactor`; ``flip`` orients a fresh one) and the exact solve is
     returned; with ``atol = 0`` and no iterations every solve is exact.
-    Nothing held, or a factor made under another ``key`` (by
-    ``np.array_equal``), means a fresh factorization.  ``held``, a list of at
-    most one factor, may be shared with other holders and solves, so that the
-    factor outlives this object; at most one band is alive at a time.
+    Nothing held means a fresh factorization.  ``held``, a list of at most one
+    factor, may be shared with other holders and solves, so that the factor
+    outlives this object; at most one band is alive at a time.
     ``factorizations`` (fresh or partial, not a factor returned unchanged)
     and ``cg_iterations`` count the work done through this object.
     """
@@ -305,7 +305,6 @@ class LaggedFactorization:
         self.atol = atol
         self.max_iterations = max_iterations
         self.held = [] if held is None else held
-        self.key = None
         self.factorizations = 0
         self.cg_iterations = 0
 
@@ -313,11 +312,7 @@ class LaggedFactorization:
     def factor(self) -> Optional[DirectFactorization]:
         return self.held[0] if self.held else None
 
-    def solve(self, A, b: np.ndarray, x0: np.ndarray, key=None,
-              flip: bool = False) -> np.ndarray:
-        if not np.array_equal(key, self.key):
-            self.held.clear()
-        self.key = key
+    def solve(self, A, b: np.ndarray, x0: np.ndarray, flip: bool = False) -> np.ndarray:
         if self.held:
             x, rep = _pcg(A, b, x0, self.held[0].solve, self.atol, self.max_iterations)
             self.cg_iterations += rep.iterations

@@ -8,13 +8,12 @@ residual composed through the Fischer-Burmeister function against the bounds
 
 * ``am_solve`` -- alternate minimization: linear solve in u at fixed alpha,
   then a bound-constrained damage solve at fixed u, with optional
-  over-relaxation ``omega`` of both half-step increments.  Both blocks are
-  solved by CG on the last factor (the damage one only for the same inactive
-  set), refactored from its first changed row when CG misses its budget; the
-  elastic factor is the run's (see below), the damage one the call's.  Over-relaxed
-  damage updates that leave the box are backtracked toward the unrelaxed
-  update (midpoint rule) until feasible.  With ``omega = 1`` the total energy
-  is nonincreasing across iterations.
+  over-relaxation ``omega`` of both half-step increments.  The elastic block
+  is solved by CG on the run's last factor (see below), refactored from its
+  first changed row when CG misses its budget; each damage Newton step factors
+  its inactive block afresh.  Over-relaxed damage updates that leave the box
+  are backtracked toward the unrelaxed update (midpoint rule) until feasible.
+  With ``omega = 1`` the total energy is nonincreasing across iterations.
 * ``coupled_newton_solve`` -- semismooth active-set Newton on (u, alpha); one
   field split per Newton solve, its damage solve MINRES on ``C - B^T A^-1 B``
   preconditioned by the factor of C, with one A-solve per iteration.  The
@@ -52,8 +51,7 @@ from .fem import (Discretization, State, apply_dirichlet, assemble_energy,
 from .linalg import (BlockJacobian, FieldSplitPreconditioner, LaggedFactorization,
                      LinearSolverError, direct_factorize, extract_submatrix,
                      inner_direct, minres_solve, refactor)
-from .vi import (MCProblem, active_set_slack, classify_active, fb_composite,
-                 reduced_direct_solver, rsls_solve)
+from .vi import MCProblem, active_set_slack, classify_active, fb_composite, rsls_solve
 
 #: the choice-valued fields of SolverConfig and their admissible values
 CHOICES = {"method": ("am", "oram_newton", "newton_only"),
@@ -67,7 +65,7 @@ MAX_OUTER_CYCLES = 20
 FIELDSPLIT_RTOL = 1e-6
 #: damage subproblem tolerance, as a fraction of ``outer_atol``
 DAMAGE_ATOL_FACTOR = 0.1
-#: CG tolerance of the lagged-factor solves of both blocks inside alternate minimization,
+#: CG tolerance of the lagged-factor elastic solves inside alternate minimization,
 #: as a fraction of ``outer_atol``; looser tolerances move the final energies by more than 1e-10
 LAGGED_ATOL_FACTOR = 1e-4
 #: CG iterations on a lagged factor before the block is refactored
@@ -137,7 +135,6 @@ class NonlinearReport:
     # fresh or partial LAPACK factors of the elastic block in the step (AM sweeps,
     # presolve, Newton steps); one returned unchanged is not counted
     elastic_factorizations: int = 0
-    damage_factorizations: int = 0     # factors of inactive damage blocks in the AM sweeps
     entry_energy: float = np.nan       # total energy where the first AM phase started
     iterations: list = field(default_factory=list)   # Iteration rows, in order
 
@@ -207,14 +204,14 @@ def damage_system(state: State, problem: Discretization, strains=None):
 
 
 def damage_step(state: State, problem: Discretization, config: SolverConfig,
-                system=None, lagged: Optional[LaggedFactorization] = None):
+                system=None):
     """Minimize the energy in alpha at fixed u, subject to the box constraints.
 
     The damage residual is affine in alpha at fixed u, ``Kaa @ alpha + c`` with
     ``(Kaa, c) = system`` (default :func:`damage_system`), so the subproblem is a
-    convex bound-constrained quadratic solved by the active-set method; its Newton
-    steps use ``lagged`` as :func:`~phasefrac.vi.reduced_direct_solver` does.
-    Returns (alpha, ActiveSetReport).
+    convex bound-constrained quadratic solved by the active-set method, each of
+    its Newton steps by a fresh Cholesky factor of the inactive block (see
+    :func:`~phasefrac.vi.reduced_direct_solver`).  Returns (alpha, ActiveSetReport).
     """
     Kaa, c = damage_system(state, problem) if system is None else system
     mcp = MCProblem(residual=lambda a: Kaa @ a + c,
@@ -222,8 +219,7 @@ def damage_step(state: State, problem: Discretization, config: SolverConfig,
                     lower=state.alpha_lb,
                     upper=np.ones_like(state.alpha))
     return rsls_solve(mcp, state.alpha, abs_tol=DAMAGE_ATOL_FACTOR * config.outer_atol,
-                      max_iterations=MAX_VI_ITERATIONS,
-                      linear_solver=partial(reduced_direct_solver, lagged=lagged))
+                      max_iterations=MAX_VI_ITERATIONS)
 
 
 # -- alternate minimization ------------------------------------------------------
@@ -241,9 +237,8 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
     after ``LAGGED_CG_ITERATIONS`` iterations without reaching that tolerance,
     the factor is refactored in place from the block's first changed row (a
     fresh one eliminates the damaged rows last) and the block is solved
-    exactly.  The damage Newton steps do likewise, with a factor of this
-    call's, on the last inactive damage block while the inactive set is
-    unchanged.  A sweep evaluates the strains once, and its damage residual is
+    exactly; the damage Newton steps factor afresh (see :func:`damage_step`).
+    A sweep evaluates the strains once, and its damage residual is
     ``Kaa @ alpha + c`` of its system.
 
     Stops when the optimality norm drops below ``outer_atol``.  With a
@@ -264,20 +259,19 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
     if not report.iterations:
         report.entry_energy = assemble_energy(state, problem).total
 
-    atol = LAGGED_ATOL_FACTOR * config.outer_atol
-    lagged_u = LaggedFactorization(atol, LAGGED_CG_ITERATIONS, held)
-    lagged_alpha = LaggedFactorization(atol, LAGGED_CG_ITERATIONS)
+    lagged = LaggedFactorization(LAGGED_ATOL_FACTOR * config.outer_atol,
+                                 LAGGED_CG_ITERATIONS, held)
     d_prev = None
     for sweep in range(1, config.max_am_iterations + 1):
         u_prev = state.u.copy()
-        u_star = elastic_step(state, problem, lagged_u)
+        u_star = elastic_step(state, problem, lagged)
         state.u = u_prev + config.omega * (u_star - u_prev)
         impose_dirichlet(state, problem)
 
         strains = element_strains(state, problem)
         Kaa, c = damage_system(state, problem, strains)
         a_prev = state.alpha.copy()
-        a_star, _ = damage_step(state, problem, config, (Kaa, c), lagged_alpha)
+        a_star, _ = damage_step(state, problem, config, (Kaa, c))
         omega_bar = config.omega
         cand = a_star if omega_bar == 1.0 else a_prev + omega_bar * (a_star - a_prev)
         # an infeasible over-relaxed update moves omega_bar halfway back to 1,
@@ -307,8 +301,7 @@ def am_solve(state: State, problem: Discretization, config: SolverConfig,
         if res <= config.outer_atol or (res <= target and settled):
             report.converged = True
             break
-    report.elastic_factorizations += lagged_u.factorizations
-    report.damage_factorizations += lagged_alpha.factorizations
+    report.elastic_factorizations += lagged.factorizations
     return report
 
 

@@ -131,13 +131,9 @@ def _merit_gradient(x, F, phi, J, lower, upper) -> np.ndarray:
     return 2.0 * (p * phi + J.T @ (q * phi))
 
 
-def reduced_direct_solver(J, inactive: np.ndarray, rhs: np.ndarray, lagged=None):
-    """Default inner solver: Cholesky on the inactive submatrix of a CSR Jacobian, or
-    with ``lagged``, its ``solve`` from zero keyed by the inactive set."""
-    sub = extract_submatrix(J, inactive, inactive)
-    if lagged is not None:
-        return lagged.solve(sub, rhs, np.zeros_like(rhs), key=inactive)
-    return direct_factorize(sub).solve(rhs)
+def reduced_direct_solver(J, inactive: np.ndarray, rhs: np.ndarray):
+    """Default inner solver: Cholesky on the inactive submatrix of a CSR Jacobian."""
+    return direct_factorize(extract_submatrix(J, inactive, inactive)).solve(rhs)
 
 
 def active_set_slack(x: np.ndarray) -> float:

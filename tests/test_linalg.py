@@ -336,19 +336,6 @@ class TestLaggedFactorization:
         assert lagged.factor.band.nbytes == band_bytes
         assert peak - before < 0.5 * band_bytes
 
-    def test_same_key_keeps_the_factor_and_another_key_refactors(self, factorizations):
-        A = self.damaged(1.0)
-        b = np.linspace(-1.0, 2.0, A.shape[0])
-        lagged = LaggedFactorization(self.ATOL, self.BUDGET)
-        lagged.solve(A, b, np.zeros_like(b), key=np.arange(3))
-        held = lagged.factor
-        lagged.solve(self.damaged(0.999), b, np.zeros_like(b), key=np.arange(3))
-        assert lagged.factor is held and len(factorizations) == 1
-        x = lagged.solve(A, b, np.zeros_like(b), key=np.arange(1, 4))
-        assert lagged.factor is not held and len(factorizations) == 2
-        assert lagged.factorizations == 2
-        assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
-
     @pytest.mark.parametrize("flip", [False, True])
     def test_partial_refactor_after_a_cg_miss(self, surfing_elastic, flip):
         K0, K1 = surfing_elastic

@@ -11,16 +11,15 @@ from conftest import block_csr, random_spd
 
 import phasefrac.linalg
 import phasefrac.solver
+import phasefrac.vi
 from phasefrac.cases import StepFailureError, run_quasistatic, setup_surfing, setup_traction
 from phasefrac.fem import (State, apply_dirichlet, assemble_energy, assemble_Kuu, assemble_load_u,
                            assemble_residual_alpha, impose_dirichlet)
-from phasefrac.linalg import (BlockJacobian, FieldSplitPreconditioner, LaggedFactorization,
-                              LinearSolverError, SingularOperatorError, inner_direct,
-                              minres_solve)
+from phasefrac.linalg import (BlockJacobian, FieldSplitPreconditioner, LinearSolverError,
+                              SingularOperatorError, inner_direct, minres_solve)
 from phasefrac.model import Material
-from phasefrac.solver import (FIELDSPLIT_RTOL, LAGGED_ATOL_FACTOR, LAGGED_CG_ITERATIONS,
-                              MAX_NEWTON_ITERATIONS, NonlinearReport, SolverConfig,
-                              _coupled_linear_solve, _inactive_blocks, am_solve,
+from phasefrac.solver import (FIELDSPLIT_RTOL, MAX_NEWTON_ITERATIONS, NonlinearReport,
+                              SolverConfig, _coupled_linear_solve, _inactive_blocks, am_solve,
                               coupled_mcp, coupled_newton_solve, damage_step, elastic_step,
                               first_order_residual, inactive_block_jacobian, oram_n_solve,
                               residual_norm, solve_load_step)
@@ -204,7 +203,7 @@ class TestLaggedElasticSolve:
         factorizations, in_elastic_step = [], []
         for module in (phasefrac.solver, phasefrac.linalg):
             def counted(*args, _factorize=module.direct_factorize, **kwargs):
-                if in_elastic_step:   # the damage LUs go through linalg too
+                if in_elastic_step:   # the elastic block's factors only
                     factorizations.append(1)
                 return _factorize(*args, **kwargs)
 
@@ -247,19 +246,16 @@ class TestLaggedElasticSolve:
             assert u_bc.tobytes() == ubar.tobytes()
 
 
-class TestLaggedDamageSolve:
+class TestDamageSolve:
     @pytest.fixture(scope="class")
     def recorded(self):
-        """A short surfing ORAM run: (problem, records, damage-step inputs,
-        post-sweep damage residuals, LU counts seen by ``direct_factorize``)."""
-        steps, residuals, counts, in_elastic_step = [], [], {"all": 0, "elastic": 0}, []
-        damage = phasefrac.solver.damage_step
+        """A short surfing ORAM run: (problem, records, post-sweep damage
+        residuals, factorizations seen by ``direct_factorize``, and the number of
+        them made inside each damage ``reduced_direct_solver`` call)."""
+        residuals, counts, in_elastic_step, solves = [], {"all": 0, "elastic": 0}, [], []
         norm = phasefrac.solver.residual_norm
         elastic = phasefrac.solver.elastic_step
-
-        def record_step(state, problem, config, system=None, lagged=None):
-            steps.append((state.copy(), system))
-            return damage(state, problem, config, system, lagged)
+        reduced = phasefrac.vi.reduced_direct_solver
 
         def record_norm(state, problem, strains=None, residual_alpha=None):
             if residual_alpha is not None:
@@ -273,68 +269,39 @@ class TestLaggedDamageSolve:
             finally:
                 in_elastic_step.pop()
 
+        def record_solve(J, inactive, rhs):
+            before = counts["all"]
+            out = reduced(J, inactive, rhs)
+            solves.append((inactive.size, counts["all"] - before))
+            return out
+
         with pytest.MonkeyPatch.context() as mp:
-            for module in (phasefrac.solver, phasefrac.linalg):
+            for module in (phasefrac.solver, phasefrac.linalg, phasefrac.vi):
                 def counted(*args, _factorize=module.direct_factorize, **kwargs):
                     counts["all"] += 1
                     counts["elastic"] += bool(in_elastic_step)
                     return _factorize(*args, **kwargs)
 
                 mp.setattr(module, "direct_factorize", counted)
-            mp.setattr(phasefrac.solver, "damage_step", record_step)
+            mp.setattr(phasefrac.vi, "reduced_direct_solver", record_solve)
             mp.setattr(phasefrac.solver, "residual_norm", record_norm)
             mp.setattr(phasefrac.solver, "elastic_step", marked)
             setup = setup_surfing(MAT, h=0.05, n_steps=3, t_end=0.1)
             records = run_quasistatic(setup, SolverConfig(omega=1.6), snapshot_stride=0)
-        return setup.problem, records, steps, residuals, counts
+        return setup.problem, records, residuals, counts, solves
 
-    def test_report_counts_the_factorizations(self, recorded):
-        _, records, steps, _, counts = recorded
-        elastic = sum(rec.report.elastic_factorizations for rec in records)
-        damage = sum(rec.report.damage_factorizations for rec in records)
-        assert elastic == counts["elastic"]
-        assert damage == counts["all"] - counts["elastic"]
-        assert 0 < damage < len(steps)
+    def test_every_damage_newton_step_factors_once(self, recorded):
+        _, records, _, counts, solves = recorded
+        assert sum(rec.report.elastic_factorizations for rec in records) == counts["elastic"]
+        assert solves and all(size > 0 and made == 1 for size, made in solves)
+        assert counts["all"] - counts["elastic"] == len(solves)
 
     def test_post_sweep_residual_is_the_assembled_one(self, recorded):
-        problem, _, _, residuals, _ = recorded
+        problem, _, residuals, _, _ = recorded
         assert residuals
         for state, got in residuals:
             want = assemble_residual_alpha(state, problem)
             assert abs(got - want).max() <= 1e-12 * abs(want).max()
-
-    def test_lagged_steps_match_fresh_steps(self, recorded, monkeypatch):
-        # replay the recorded damage steps with one lagged holder and with a
-        # fresh LU per Newton step; CG stops at LAGGED_ATOL_FACTOR * outer_atol
-        # (1e-11) on the reduced residual, which moves alpha by ~5e-11 here
-        problem, _, steps, _, _ = recorded
-        config = SolverConfig(omega=1.6)
-        lagged = LaggedFactorization(LAGGED_ATOL_FACTOR * config.outer_atol,
-                                     LAGGED_CG_ITERATIONS)
-        solves = []
-        solver = phasefrac.solver.reduced_direct_solver
-
-        def recording(J, inactive, rhs, lagged=None):
-            before = None if lagged is None else lagged.factorizations
-            out = solver(J, inactive, rhs, lagged=lagged)
-            if lagged is not None:
-                solves.append((inactive, lagged.factorizations - before))
-            return out
-
-        monkeypatch.setattr(phasefrac.solver, "reduced_direct_solver", recording)
-        for state, system in steps:
-            a_lagged, rep_lagged = damage_step(state, problem, config, system, lagged)
-            a_fresh, rep_fresh = damage_step(state, problem, config, system)
-            assert rep_lagged.iterations == rep_fresh.iterations
-            assert abs(a_lagged - a_fresh).max() <= 1e-9
-            e_lagged, e_fresh = (assemble_energy(State(state.u, a, state.alpha_lb), problem).total
-                                 for a in (a_lagged, a_fresh))
-            assert e_lagged == pytest.approx(e_fresh, rel=1e-12, abs=0.0)
-        assert solves[0][1] == 1
-        for (prev, _), (inactive, refactored) in zip(solves, solves[1:]):
-            if not np.array_equal(prev, inactive):
-                assert refactored == 1
-        assert lagged.factorizations == sum(r for _, r in solves) < len(solves)
 
 
 class TestResidualAndBlocks:
